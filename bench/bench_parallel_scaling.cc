@@ -106,7 +106,7 @@ SiteReport RunSite(const std::string& name, const std::vector<int>& counts,
   return report;
 }
 
-// Site 13 (also standalone via --simd-only): the explicit SIMD kernel layer
+// Site 12 (also standalone via --simd-only): the explicit SIMD kernel layer
 // of engine/simd.h. Three jobs:
 //   1. Determinism fingerprint: scan/filter, hash-join, merge-join and NLJ
 //      plans executed at every supported LQO_SIMD level x scalar/vectorized
@@ -414,7 +414,7 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
 #endif
 }
 
-// Site 14 (also standalone via --agg-only): the late-materialization output
+// Site 13 (also standalone via --agg-only): the late-materialization output
 // pipeline (DESIGN.md "Late materialization & output pipeline"). Three jobs:
 //   1. Determinism fingerprint: grouped aggregation over a scan, grouped
 //      aggregation over a hash join (deferred row-id probe feeding the
@@ -695,14 +695,6 @@ int main(int argc, char** argv) {
   wopts.seed = 2024;
   Workload workload = GenerateWorkload(lab->catalog, wopts);
 
-  // A wider sweep for the planning-only site: DP per query is microseconds,
-  // so the site needs volume to produce a trackable wall-clock.
-  WorkloadOptions dp_opts = wopts;
-  dp_opts.num_queries = 400;
-  dp_opts.min_tables = 4;
-  dp_opts.seed = 4242;
-  Workload dp_workload = GenerateWorkload(lab->catalog, dp_opts);
-
   std::vector<SiteReport> reports;
 
   // Site 1: benchmark-harness fan-out — plan + execute every workload query.
@@ -740,20 +732,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Site 3: DP join enumeration, level-parallel.
-  reports.push_back(RunSite("dp_join_enum", counts, [&] {
-    double total_cost = 0.0;
-    uint64_t combos = 0;
-    for (const Query& q : dp_workload.queries) {
-      CardinalityProvider cards(lab->estimator.get());
-      PlannerResult planned = lab->optimizer->Optimize(q, &cards);
-      total_cost += planned.estimated_cost;
-      combos += planned.combinations_evaluated;
-    }
-    return total_cost + static_cast<double>(combos);
-  }));
-
-  // Site 4: workload-wide estimator evaluation (SPN inference per subquery).
+  // Site 3: workload-wide estimator evaluation (SPN inference per subquery).
   {
     CeTrainingData data = BuildCeTrainingData(lab->catalog, lab->stats,
                                               workload, lab->truth.get());
@@ -767,11 +746,11 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Sites 5-8 ride on a chain catalog big enough to clear the executor's
+  // Sites 4-7 ride on a chain catalog big enough to clear the executor's
   // and SPN's input-size gates (20k rows/table >> the 8192/512 thresholds).
   Catalog chain = MakeChainSchema(5, 20000);
 
-  // Site 5: radix-partitioned hash-join execution. Queries execute one at a
+  // Site 4: radix-partitioned hash-join execution. Queries execute one at a
   // time at top level, so the per-join build/probe fan-out is what scales.
   {
     Executor chain_executor(&chain);
@@ -799,7 +778,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Site 6: SPN training — parallel child regions after each split.
+  // Site 5: SPN training — parallel child regions after each split.
   reports.push_back(RunSite("spn_train", counts, [&] {
     const Table* t1 = *chain.GetTable("t1");
     SpnTableModel model(t1);
@@ -810,7 +789,7 @@ int main(int argc, char** argv) {
            model.Selectivity(probe, 0);
   }));
 
-  // Site 7: Chow-Liu pairwise mutual-information triangle (16 variables ->
+  // Site 6: Chow-Liu pairwise mutual-information triangle (16 variables ->
   // 120 independent MI tasks over 20k rows each).
   {
     Rng rng(99);
@@ -835,7 +814,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Site 8: batched candidate costing — Lero plans every scale factor
+  // Site 7: batched candidate costing — Lero plans every scale factor
   // against per-factor views of one frozen provider.
   reports.push_back(RunSite("lero_costing", counts, [&] {
     LeroOptimizer lero(lab->Context());
@@ -849,7 +828,7 @@ int main(int argc, char** argv) {
     return fingerprint;
   }));
 
-  // Site 9: batched model inference — one PredictBatch pass over a shared
+  // Site 8: batched model inference — one PredictBatch pass over a shared
   // feature matrix for every model family (SoA tree kernels, blocked MLP
   // forward), morsel-chunked across the pool. The fingerprint sums every
   // prediction, so any thread-count-dependent reordering of the batch path
@@ -952,7 +931,7 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  // Site 10: plan-signature feature cache — a cold epoch of concurrent
+  // Site 9: plan-signature feature cache — a cold epoch of concurrent
   // inserts then a warm epoch of concurrent hits. The fingerprint sums the
   // served feature values, so a cache bug (wrong row for a key, torn
   // write, stale serve) breaks determinism rather than just throughput.
@@ -1029,7 +1008,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cache_stats.misses));
   }
 
-  // Site 11: compact quantized forest layout vs the SoA arrays on an
+  // Site 10: compact quantized forest layout vs the SoA arrays on an
   // ensemble far past L2 residence. ConfigureCompact flips layouts on the
   // same fitted model; the RunSite fingerprint must be identical at every
   // thread count because thresholds are quantized at build time.
@@ -1091,7 +1070,7 @@ int main(int argc, char** argv) {
                  compact_total_nodes, compact_bytes);
   }
 
-  // Site 12: vectorized batch executor vs the tuple-at-a-time reference.
+  // Site 11: vectorized batch executor vs the tuple-at-a-time reference.
   // The RunSite fingerprint covers row counts, cost-model time units and
   // the physical join counters of BOTH paths, so any divergence between
   // scalar and vectorized — or across thread counts — trips the
@@ -1223,11 +1202,11 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  // Site 13: SIMD kernel layer (levels x paths x threads determinism cube,
+  // Site 12: SIMD kernel layer (levels x paths x threads determinism cube,
   // per-family throughput A/B, BENCH_simd.json, 1.3x filter floor).
   RunSimdKernelsSite(counts, hw, &reports);
 
-  // Site 14: late-materialization output pipeline (grouped aggregation +
+  // Site 13: late-materialization output pipeline (grouped aggregation +
   // projection determinism cube, scalar-vs-vectorized A/B, BENCH_agg.json,
   // 1.5x grouped-aggregation floor).
   RunAggProjectionSite(counts, hw, &reports);

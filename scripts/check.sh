@@ -105,6 +105,11 @@ LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --agg-only
 "$BUILD_DIR"/bench/bench_micro_components \
   --benchmark_filter='Inference' --benchmark_min_time=0.05
 
+# Planner gate, under TSan + 4 threads: DPccp against the submask DP oracle
+# (bit-identical plans, costs, combination counts and estimator call order),
+# including Bao's hint arms planning concurrently on one frozen provider.
+"$BUILD_DIR"/tests/planner_oracle_test
+
 # Serving front end determinism site, under TSan: replays concurrent
 # sessions (drift + parameter-sensitive scenarios included) through the
 # shared plan cache at LQO_THREADS 1/2/8 and exits nonzero unless the

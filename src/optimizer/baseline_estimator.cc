@@ -12,7 +12,8 @@ double BaselineCardinalityEstimator::TableSelectivity(const Query& query,
       query.tables()[static_cast<size_t>(table_index)].table_name;
   const TableStatistics& stats = stats_->Of(table_name);
   double selectivity = 1.0;
-  for (const Predicate& p : query.PredicatesOf(table_index)) {
+  for (const Predicate& p : query.predicates()) {
+    if (p.table_index != table_index) continue;
     selectivity *= stats.ColumnStatsOf(p.column).Selectivity(p);
   }
   return selectivity;
@@ -33,7 +34,8 @@ double BaselineCardinalityEstimator::EstimateSubquery(
   }
 
   // One independence-assumed selectivity factor per induced join conjunct.
-  for (const QueryJoin& join : query.JoinsWithin(subquery.tables)) {
+  for (const QueryJoin& join : query.joins()) {
+    if (!join.WithinSet(subquery.tables)) continue;
     const std::string& left_name =
         query.tables()[static_cast<size_t>(join.left_table)].table_name;
     const std::string& right_name =

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <memory>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace lqo {
 
@@ -50,6 +49,225 @@ const AnalyticalCostModel& AsAnalytical(const CostModelInterface& model) {
   return *analytical;
 }
 
+int NumPredicatesOf(const Query& query, int table_index) {
+  return static_cast<int>(std::count_if(
+      query.predicates().begin(), query.predicates().end(),
+      [&](const Predicate& p) { return p.table_index == table_index; }));
+}
+
+// Grows the connected set `set` by every non-empty subset of its
+// neighbourhood inside `within`, skipping `excluded`, calls emit() on each
+// grown set and recurses on it with the whole neighbourhood excluded
+// (EnumerateCsgRec of Moerkotte & Neumann, VLDB'06). Every connected subset
+// of `within` that strictly contains `set` and avoids `excluded` is emitted
+// exactly once.
+template <typename Emit>
+void ExpandConnected(const std::vector<TableSet>& adjacency, TableSet within,
+                     TableSet set, TableSet excluded, const Emit& emit) {
+  TableSet neighbourhood = 0;
+  for (TableSet rest = set; rest != 0; rest &= rest - 1) {
+    neighbourhood |= adjacency[static_cast<size_t>(__builtin_ctzll(rest))];
+  }
+  neighbourhood &= within & ~excluded & ~set;
+  if (neighbourhood == 0) return;
+  for (TableSet grow = neighbourhood; grow != 0;
+       grow = (grow - 1) & neighbourhood) {
+    emit(set | grow);
+  }
+  for (TableSet grow = neighbourhood; grow != 0;
+       grow = (grow - 1) & neighbourhood) {
+    ExpandConnected(adjacency, within, set | grow, excluded | neighbourhood,
+                    emit);
+  }
+}
+
+// DPccp: dynamic programming over the connected subgraphs (csgs) of the join
+// graph, splitting each csg only into connected complement pairs, so the
+// work grows with the number of csg-cmp pairs rather than with 3^n submask
+// steps. The memo holds back-pointers (left input and algorithm); the plan
+// tree is built once, from the root, at the end.
+class DpccpPlanner {
+ public:
+  DpccpPlanner(const Query& query, const StatsCatalog& stats,
+               const AnalyticalCostModel& model,
+               std::vector<JoinAlgorithm> allowed, bool bushy)
+      : query_(query),
+        stats_(stats),
+        model_(model),
+        allowed_(std::move(allowed)),
+        bushy_(bushy),
+        adjacency_(static_cast<size_t>(query.num_tables()), 0) {
+    for (const QueryJoin& j : query.joins()) {
+      adjacency_[static_cast<size_t>(j.left_table)] |= TableBit(j.right_table);
+      adjacency_[static_cast<size_t>(j.right_table)] |= TableBit(j.left_table);
+    }
+  }
+
+  PlannerResult Plan(CardinalityProvider* cards) {
+    int n = query_.num_tables();
+    TableSet all = query_.AllTables();
+    // Every csg, sorted ascending: each proper subset of a csg precedes it,
+    // and the estimator sees the same subsets in the same order as a walk
+    // over all 2^n subsets would show it.
+    for (int t = n - 1; t >= 0; --t) {
+      TableSet start = TableBit(t);
+      csgs_.push_back(start);
+      ExpandConnected(adjacency_, all, start, start | (start - 1),
+                      [&](TableSet s) { csgs_.push_back(s); });
+    }
+    std::sort(csgs_.begin(), csgs_.end());
+    memo_.resize(csgs_.size());
+    BuildIndex();
+
+    for (int t = 0; t < n; ++t) {
+      TableSet set = TableBit(t);
+      MemoEntry& leaf = memo_[IndexOf(set)];
+      leaf.card = cards->Cardinality(Subquery{&query_, set});
+      const std::string& name =
+          query_.tables()[static_cast<size_t>(t)].table_name;
+      leaf.cost =
+          model_.ScanCost(static_cast<double>(stats_.Of(name).row_count),
+                          NumPredicatesOf(query_, t));
+      leaf.node_cost = leaf.cost;
+      leaf.planned = true;
+    }
+
+    PlannerResult result;
+    for (size_t i = 0; i < csgs_.size(); ++i) {
+      TableSet s = csgs_[i];
+      if (PopCount(s) < 2) continue;
+      memo_[i].card = cards->Cardinality(Subquery{&query_, s});
+      if (bushy_) {
+        // Each unordered split once, from the side holding the lowest
+        // table; both orientations are costed.
+        TableSet lowest = s & (~s + 1);
+        auto split = [&](TableSet left) {
+          if (left == s) return;
+          size_t right_index = IndexOf(s & ~left);
+          if (right_index == kNotConnected) return;
+          size_t left_index = IndexOf(left);
+          result.combinations_evaluated += TryJoin(i, left_index, right_index);
+          result.combinations_evaluated += TryJoin(i, right_index, left_index);
+        };
+        split(lowest);
+        ExpandConnected(adjacency_, s, lowest, lowest, split);
+      } else {
+        for (TableSet rest = s; rest != 0; rest &= rest - 1) {
+          TableSet right = rest & (~rest + 1);
+          size_t left_index = IndexOf(s & ~right);
+          if (left_index == kNotConnected) continue;
+          result.combinations_evaluated +=
+              TryJoin(i, left_index, IndexOf(right));
+        }
+      }
+    }
+
+    const MemoEntry& root = memo_[IndexOf(all)];
+    LQO_CHECK(root.planned) << "DP failed to cover the query";
+    result.plan.query = &query_;
+    result.plan.root = Materialize(all);
+    result.estimated_cost = root.cost;
+    return result;
+  }
+
+ private:
+  static constexpr size_t kNotConnected = ~size_t{0};
+
+  // Cheapest plan found so far for one csg. A join records its left input
+  // and algorithm; its right input is the rest of the csg.
+  struct MemoEntry {
+    double cost = std::numeric_limits<double>::infinity();
+    double card = 0.0;
+    /// The root node's own cost: scan cost of a leaf, join cost of a join.
+    double node_cost = 0.0;
+    TableSet left = 0;
+    JoinAlgorithm algorithm = JoinAlgorithm::kHashJoin;
+    bool planned = false;
+  };
+
+  // Open-addressing table from csg to its index in csgs_, at most half
+  // full, so a lookup is one multiply and a probe or two.
+  void BuildIndex() {
+    int bits = 1;
+    while ((size_t{1} << bits) < 2 * csgs_.size()) ++bits;
+    slot_shift_ = 64 - bits;
+    slot_mask_ = (size_t{1} << bits) - 1;
+    slot_sets_.assign(slot_mask_ + 1, 0);
+    slot_index_.assign(slot_mask_ + 1, 0);
+    for (size_t i = 0; i < csgs_.size(); ++i) {
+      size_t slot = Slot(csgs_[i]);
+      while (slot_sets_[slot] != 0) slot = (slot + 1) & slot_mask_;
+      slot_sets_[slot] = csgs_[i];
+      slot_index_[slot] = static_cast<uint32_t>(i);
+    }
+  }
+
+  size_t Slot(TableSet set) const {
+    return static_cast<size_t>((set * 0x9e3779b97f4a7c15ull) >> slot_shift_);
+  }
+
+  size_t IndexOf(TableSet set) const {
+    for (size_t slot = Slot(set);; slot = (slot + 1) & slot_mask_) {
+      if (slot_sets_[slot] == set) return slot_index_[slot];
+      if (slot_sets_[slot] == 0) return kNotConnected;
+    }
+  }
+
+  // Costs joining csgs_[left] with csgs_[right] into csgs_[target] under
+  // every allowed algorithm; returns the number of combinations costed.
+  // Ties resolve as a walk over the submasks of the target from the largest
+  // down would: lowest total, then the larger left input, then the earlier
+  // algorithm.
+  uint64_t TryJoin(size_t target, size_t left, size_t right) {
+    const MemoEntry& l = memo_[left];
+    const MemoEntry& r = memo_[right];
+    if (!l.planned || !r.planned) return 0;
+    MemoEntry& out = memo_[target];
+    TableSet left_set = csgs_[left];
+    for (JoinAlgorithm algo : allowed_) {
+      double join_cost = model_.JoinCost(algo, l.card, r.card, out.card);
+      double total = l.cost + r.cost + join_cost;
+      if (total < out.cost ||
+          (total == out.cost && out.planned && left_set > out.left)) {
+        out.cost = total;
+        out.node_cost = join_cost;
+        out.left = left_set;
+        out.algorithm = algo;
+        out.planned = true;
+      }
+    }
+    return allowed_.size();
+  }
+
+  std::unique_ptr<PlanNode> Materialize(TableSet set) const {
+    const MemoEntry& entry = memo_[IndexOf(set)];
+    std::unique_ptr<PlanNode> node =
+        PopCount(set) == 1
+            ? MakeScanNode(__builtin_ctzll(set))
+            : MakeJoinNode(entry.algorithm, Materialize(entry.left),
+                           Materialize(set & ~entry.left));
+    node->estimated_cardinality = entry.card;
+    node->estimated_cost = entry.node_cost;
+    return node;
+  }
+
+  const Query& query_;
+  const StatsCatalog& stats_;
+  const AnalyticalCostModel& model_;
+  const std::vector<JoinAlgorithm> allowed_;
+  const bool bushy_;
+  /// adjacency_[t]: tables sharing a join conjunct with table t.
+  std::vector<TableSet> adjacency_;
+  /// Every connected subset of the join graph, ascending; memo_[i] is the
+  /// entry of csgs_[i].
+  std::vector<TableSet> csgs_;
+  std::vector<MemoEntry> memo_;
+  std::vector<TableSet> slot_sets_;  // 0 marks an empty slot.
+  std::vector<uint32_t> slot_index_;
+  int slot_shift_ = 0;
+  size_t slot_mask_ = 0;
+};
+
 }  // namespace
 
 PlannerResult Optimizer::Optimize(const Query& query,
@@ -61,116 +279,9 @@ PlannerResult Optimizer::Optimize(const Query& query,
   if (!hints.leading.empty()) {
     return OptimizeWithLeading(query, cards, hints);
   }
-  const AnalyticalCostModel& model = AsAnalytical(*cost_model_);
-  std::vector<JoinAlgorithm> allowed = hints.AllowedAlgorithms();
-
-  int n = query.num_tables();
-  std::unordered_map<TableSet, Entry> best;
-  best.reserve(1u << n);
-  PlannerResult result;
-
-  // Leaves.
-  for (int t = 0; t < n; ++t) {
-    Entry entry;
-    TableSet set = TableBit(t);
-    entry.card = cards->Cardinality(Subquery{&query, set});
-    const std::string& name = query.tables()[static_cast<size_t>(t)].table_name;
-    double raw_rows = static_cast<double>(stats_->Of(name).row_count);
-    entry.cost = model.ScanCost(
-        raw_rows, static_cast<int>(query.PredicatesOf(t).size()));
-    entry.plan = MakeScanNode(t);
-    entry.plan->estimated_cardinality = entry.card;
-    entry.plan->estimated_cost = entry.cost;
-    best.emplace(set, std::move(entry));
-  }
-
-  // Connected subsets grouped by size. Cardinalities are resolved serially
-  // up front (an *unfrozen* provider is single-threaded by contract —
-  // frozen ones allow concurrent reads, see cardinality_interface.h — and
-  // estimator call order stays identical to the serial planner); the DP then
-  // runs level-synchronously: subsets of size k only split into strictly
-  // smaller subsets, so all of level k can be solved in parallel against
-  // the read-only `best` table of levels < k. Entries are committed in
-  // ascending-subset order afterwards, keeping the walk bit-for-bit equal
-  // to the serial one.
-  TableSet all = query.AllTables();
-  std::vector<std::vector<TableSet>> levels(static_cast<size_t>(n) + 1);
-  std::unordered_map<TableSet, double> subset_card;
-  for (TableSet s = 1; s <= all; ++s) {
-    int size = PopCount(s);
-    if (size < 2) continue;
-    if (!query.IsConnected(s)) continue;
-    levels[static_cast<size_t>(size)].push_back(s);
-    subset_card.emplace(s, cards->Cardinality(Subquery{&query, s}));
-  }
-
-  struct SubsetResult {
-    Entry entry;
-    uint64_t combinations = 0;
-  };
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    const std::vector<TableSet>& level = levels[k];
-    auto solve_subset = [&](size_t idx) {
-      TableSet s = level[idx];
-      double card_s = subset_card.at(s);
-      SubsetResult out;
-      out.entry.card = card_s;
-
-      for (TableSet left = (s - 1) & s; left != 0;
-           left = (left - 1) & s) {
-        TableSet right = s & ~left;
-        if (!options_.bushy && PopCount(right) != 1) continue;
-        auto left_it = best.find(left);
-        auto right_it = best.find(right);
-        if (left_it == best.end() || right_it == best.end()) continue;
-        if (!HasCrossingJoin(query, left, right)) continue;
-
-        for (JoinAlgorithm algo : allowed) {
-          ++out.combinations;
-          double join_cost = model.JoinCost(algo, left_it->second.card,
-                                            right_it->second.card,
-                                            card_s);
-          double total =
-              left_it->second.cost + right_it->second.cost + join_cost;
-          if (total < out.entry.cost) {
-            out.entry.cost = total;
-            out.entry.plan =
-                MakeJoinNode(algo, left_it->second.plan->Clone(),
-                             right_it->second.plan->Clone());
-            out.entry.plan->estimated_cardinality = card_s;
-            out.entry.plan->estimated_cost = join_cost;
-          }
-        }
-      }
-      return out;
-    };
-    // Small levels are solved inline: a handful of subsets costs less to
-    // compute than to schedule. The cutoff depends only on the level size,
-    // so both paths yield identical entries.
-    constexpr size_t kParallelLevelSize = 16;
-    std::vector<SubsetResult> solved;
-    if (level.size() >= kParallelLevelSize) {
-      solved = ParallelMap(level.size(), solve_subset);
-    } else {
-      solved.reserve(level.size());
-      for (size_t idx = 0; idx < level.size(); ++idx) {
-        solved.push_back(solve_subset(idx));
-      }
-    }
-    for (size_t idx = 0; idx < level.size(); ++idx) {
-      result.combinations_evaluated += solved[idx].combinations;
-      if (solved[idx].entry.plan != nullptr) {
-        best.emplace(level[idx], std::move(solved[idx].entry));
-      }
-    }
-  }
-
-  auto final_it = best.find(all);
-  LQO_CHECK(final_it != best.end()) << "DP failed to cover the query";
-  result.plan.query = &query;
-  result.plan.root = std::move(final_it->second.plan);
-  result.estimated_cost = final_it->second.cost;
-  return result;
+  DpccpPlanner planner(query, *stats_, AsAnalytical(*cost_model_),
+                       hints.AllowedAlgorithms(), options_.bushy);
+  return planner.Plan(cards);
 }
 
 PlannerResult Optimizer::OptimizeGreedy(const Query& query,
@@ -190,7 +301,7 @@ PlannerResult Optimizer::OptimizeGreedy(const Query& query,
     const std::string& name = query.tables()[static_cast<size_t>(t)].table_name;
     entry.cost = model.ScanCost(
         static_cast<double>(stats_->Of(name).row_count),
-        static_cast<int>(query.PredicatesOf(t).size()));
+        NumPredicatesOf(query, t));
     entry.plan = MakeScanNode(t);
     entry.plan->estimated_cardinality = entry.card;
     entry.plan->estimated_cost = entry.cost;
@@ -262,7 +373,7 @@ PlannerResult Optimizer::OptimizeWithLeading(const Query& query,
     const std::string& name = query.tables()[static_cast<size_t>(t)].table_name;
     entry.cost = model.ScanCost(
         static_cast<double>(stats_->Of(name).row_count),
-        static_cast<int>(query.PredicatesOf(t).size()));
+        NumPredicatesOf(query, t));
     entry.plan = MakeScanNode(t);
     entry.plan->estimated_cardinality = entry.card;
     entry.plan->estimated_cost = entry.cost;

@@ -41,9 +41,16 @@ struct OptimizerOptions {
   bool bushy = true;
 };
 
-/// Traditional cost-based optimizer: dynamic programming (dpsize over
-/// connected subgraphs, cross products forbidden) and a GOO-style greedy
-/// fallback, with hint and cardinality-injection knobs.
+/// Traditional cost-based optimizer: dynamic programming (DPccp over
+/// connected subgraph / connected complement pairs, cross products
+/// forbidden) and a GOO-style greedy fallback, with hint and
+/// cardinality-injection knobs.
+///
+/// The DP estimates every connected subset once, leaves first, then in
+/// ascending subset order. Among equally cheap plans for a subset it keeps
+/// the one with the larger left-input bitmask, then the earlier algorithm
+/// in HintSet::AllowedAlgorithms() order, so plans are a pure function of
+/// the query, estimates and hints.
 class Optimizer {
  public:
   Optimizer(const StatsCatalog* stats, const CostModelInterface* cost_model,

@@ -8,7 +8,7 @@
 namespace lqo {
 
 int Query::AddTable(const std::string& table_name, std::string alias) {
-  LQO_CHECK_LT(tables_.size(), 64u) << "query table limit exceeded";
+  LQO_CHECK_LT(num_tables(), kMaxTables) << "query table limit exceeded";
   if (alias.empty()) alias = "t" + std::to_string(tables_.size());
   tables_.push_back({table_name, std::move(alias)});
   return static_cast<int>(tables_.size()) - 1;
@@ -300,15 +300,16 @@ uint64_t Subquery::KeyHash() const {
     const std::string& name =
         query->tables()[static_cast<size_t>(t)].table_name;
     uint64_t preds_hash = 0;
-    for (const Predicate& p : query->PredicatesOf(t)) {
-      preds_hash += MixHash(HashPredicate(p));
+    for (const Predicate& p : query->predicates()) {
+      if (p.table_index == t) preds_hash += MixHash(HashPredicate(p));
     }
     uint64_t part = HashBytes(name, 0xcbf29ce484222325ull);
     tables_hash += MixHash(part ^ MixHash(preds_hash + 0x517cc1b7u));
   }
 
   uint64_t joins_hash = 0;
-  for (const QueryJoin& j : query->JoinsWithin(tables)) {
+  for (const QueryJoin& j : query->joins()) {
+    if (!j.WithinSet(tables)) continue;
     uint64_t a = HashBytes(
         j.left_column,
         HashBytes(query->tables()[static_cast<size_t>(j.left_table)].table_name,

@@ -78,9 +78,13 @@ struct OutputExpr {
 /// semantics any estimator or optimizer depends on.
 class Query {
  public:
+  /// FROM-list capacity: table indices are bits of a TableSet.
+  static constexpr int kMaxTables = 64;
+
   Query() = default;
 
-  /// Adds a FROM entry; returns its index. Alias defaults to t<i>.
+  /// Adds a FROM entry; returns its index. Alias defaults to t<i>. At most
+  /// kMaxTables entries.
   int AddTable(const std::string& table_name, std::string alias = "");
 
   void AddJoin(int left_table, const std::string& left_column,

@@ -287,6 +287,11 @@ class Parser {
       if (alias_to_index_.count(alias) > 0) {
         return Status::InvalidArgument("duplicate alias '" + alias + "'");
       }
+      if (query_.num_tables() == Query::kMaxTables) {
+        return Status::InvalidArgument(
+            "FROM list exceeds " + std::to_string(Query::kMaxTables) +
+            " tables");
+      }
       alias_to_index_[alias] = query_.AddTable(table, alias);
       if (Peek().kind == TokenKind::kSymbol && Peek().text == ",") {
         Advance();

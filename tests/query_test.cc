@@ -228,6 +228,21 @@ TEST_F(SqlParserTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseSql(catalog_, "").ok());
 }
 
+// Table indices are TableSet bits, so a longer FROM list is rejected
+// instead of reaching the Query::AddTable check.
+TEST_F(SqlParserTest, RejectsFromListBeyondTableLimit) {
+  std::string sql = "SELECT COUNT(*) FROM users u0";
+  for (int i = 1; i <= Query::kMaxTables; ++i) {
+    sql += ", users u" + std::to_string(i);
+  }
+  StatusOr<Query> q = ParseSql(catalog_, sql);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().ToString().find("exceeds 64 tables"),
+            std::string::npos)
+      << q.status().ToString();
+}
+
 TEST_F(SqlParserTest, RoundTripsGeneratedQueries) {
   WorkloadOptions options;
   options.num_queries = 20;

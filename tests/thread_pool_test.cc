@@ -1,6 +1,7 @@
 // ThreadPool unit tests plus the serial == parallel determinism contract
-// for every parallelized site: DP join enumeration, estimator evaluation,
-// the e2e harness and the lab sweep (forest/GBDT live in ml_test.cc).
+// for every parallelized site: estimator evaluation, the e2e harness and
+// the lab sweep (forest/GBDT live in ml_test.cc). DP join enumeration is
+// serial; its thread-count invariance is still checked here.
 
 #include "common/thread_pool.h"
 
