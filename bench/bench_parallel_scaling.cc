@@ -39,9 +39,8 @@
 #include "storage/datasets.h"
 
 // Sanitized builds (check.sh runs this bench under TSan) are an order of
-// magnitude slower and skew scalar/vectorized ratios, so the throughput
-// gates below only arm in plain builds; determinism and scalar-vs-
-// vectorized equality checks always run.
+// magnitude slower and skew throughput ratios, so the throughput gates
+// below only arm in plain builds; the determinism checks always run.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
 #define LQO_BENCH_SANITIZED 1
@@ -106,16 +105,18 @@ SiteReport RunSite(const std::string& name, const std::vector<int>& counts,
   return report;
 }
 
-// Site 12 (also standalone via --simd-only): the explicit SIMD kernel layer
-// of engine/simd.h. Three jobs:
-//   1. Determinism fingerprint: scan/filter, hash-join, merge-join and NLJ
-//      plans executed at every supported LQO_SIMD level x scalar/vectorized
-//      path, folded into the RunSite fingerprint, which RunSite then sweeps
-//      across thread counts — any bit divergence across the full
-//      level x path x threads cube fails the bench.
-//   2. Throughput A/B per kernel family (filter eq/range/in dense, join-key
-//      hashing) at every supported level, plus executor-level A/Bs of the
-//      real merge-join and block-NLJ paths, emitted as BENCH_simd.json.
+// Site 11 (also standalone via --simd-only): the explicit SIMD kernel layer
+// of engine/simd.h and the executor plans it feeds. Three jobs:
+//   1. Determinism fingerprint: scan/filter, hash-join, merge-join, NLJ and
+//      3-way chain hash-join plans executed at every supported LQO_SIMD
+//      level, folded into the RunSite fingerprint (row counts, time_units,
+//      collision and partition counters), which RunSite then sweeps across
+//      thread counts — any bit divergence across the level x threads cube
+//      fails the bench.
+//   2. Throughput per kernel family (filter eq/range/in dense, join-key
+//      hashing) at every supported level, plus executor-level rows/s of the
+//      real merge-join and (per level) block-NLJ paths, emitted as
+//      BENCH_simd.json.
 //   3. Perf floor (plain builds only): the best SIMD level must beat the
 //      scalar reference by >= 1.3x on each filter kernel family.
 void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
@@ -185,9 +186,12 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
                               .right_table = "inner_t",
                               .right_column = "k"})
                 .ok());
+  // t0..t2 of the 20k-row chain catalog the parallel sites share.
+  Catalog ccat = MakeChainSchema(3, 20000);
 
   Executor fexec(&fcat);
   Executor nexec(&ncat);
+  Executor cexec(&ccat);
   Query scan_q;
   scan_q.AddTable("fact");
   scan_q.AddPredicate(Predicate::Range(0, "v", 100, 600));
@@ -216,6 +220,15 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
   nlj_plan.query = &nlj_q;
   nlj_plan.root = MakeJoinNode(JoinAlgorithm::kNestedLoopJoin,
                                MakeScanNode(0), MakeScanNode(1));
+  Query chain_q;
+  chain_q.AddTable("t0");
+  chain_q.AddTable("t1");
+  chain_q.AddTable("t2");
+  chain_q.AddJoin(0, "id", 1, "prev_id");
+  chain_q.AddJoin(1, "id", 2, "prev_id");
+  chain_q.AddPredicate(Predicate::Range(0, "val", 2, 60));
+  PhysicalPlan chain_plan =
+      MakeLeftDeepPlan(chain_q, chain_q.AllTables(), JoinAlgorithm::kHashJoin);
 
   auto result_fingerprint = [](const ExecutionResult& r) {
     double f = static_cast<double>(r.row_count) * 1e-3 + r.time_units;
@@ -227,33 +240,26 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
     return f;
   };
 
-  // 1. Determinism cube: levels x scalar/vectorized inside the work
-  // function, thread counts via RunSite.
+  // 1. Determinism cube: levels inside the work function, thread counts
+  // via RunSite.
   reports->push_back(RunSite("simd_kernels", counts, [&] {
     double fingerprint = 0.0;
     for (simd::Level level : levels) {
       simd::SetLevelForTest(level);
-      for (bool vectorized : {false, true}) {
-        fexec.set_vectorized(vectorized);
-        nexec.set_vectorized(vectorized);
-        for (const PhysicalPlan* plan :
-             {&scan_plan, &hash_plan, &merge_plan}) {
-          auto r = fexec.Execute(*plan);
-          LQO_CHECK(r.ok());
-          fingerprint += result_fingerprint(*r);
-        }
-        auto r = nexec.Execute(nlj_plan);
+      for (auto [exec, plan] :
+           {std::pair{&fexec, &scan_plan}, std::pair{&fexec, &hash_plan},
+            std::pair{&fexec, &merge_plan}, std::pair{&nexec, &nlj_plan},
+            std::pair{&cexec, &chain_plan}}) {
+        auto r = exec->Execute(*plan);
         LQO_CHECK(r.ok());
         fingerprint += result_fingerprint(*r);
       }
     }
     simd::SetLevelForTest(entry_level);
-    fexec.set_vectorized(true);
-    nexec.set_vectorized(true);
     return fingerprint;
   }));
 
-  // 2. Throughput A/B. Kernel families run the per-level tables directly on
+  // 2. Throughput. Kernel families run the per-level tables directly on
   // the fact table's columns (best-of-5 in-process, so the ratios are
   // stable on a noisy box); the join paths run whole plans.
   ThreadPool::SetGlobalThreads(hw);
@@ -320,9 +326,9 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
                  *std::max_element(f.rps.begin(), f.rps.end()) / f.rps[0]);
   }
 
-  // Executor-level A/Bs: merge join tuple-vs-vectorized path (the SIMD
-  // level does not enter its comparisons), block NLJ per level (its inner
-  // loop is the dispatched Eq kernel), both against the plan's total input.
+  // Executor-level throughput: merge join (the SIMD level does not enter
+  // its comparisons), block NLJ per level (its inner loop is the dispatched
+  // Eq kernel), both against the plan's total input.
   auto plan_rps = [&](Executor& ex, const PhysicalPlan& plan, double rows,
                       int passes) {
     double secs = best_seconds(3, [&] {
@@ -336,26 +342,15 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
   };
   const double merge_rows = static_cast<double>(kFactRows) + 2048.0;
   const double nlj_pairs = 1800.0 * 2000.0;
-  fexec.set_vectorized(false);
-  double merge_tuple_rps = plan_rps(fexec, merge_plan, merge_rows, 2);
-  fexec.set_vectorized(true);
-  double merge_vec_rps = plan_rps(fexec, merge_plan, merge_rows, 2);
-  std::fprintf(stderr,
-               "  simd merge_join   tuple %9.0f Mrows/s  vectorized %9.0f "
-               "Mrows/s  (%.2fx)\n",
-               merge_tuple_rps / 1e6, merge_vec_rps / 1e6,
-               merge_vec_rps / merge_tuple_rps);
-  nexec.set_vectorized(false);
-  double nlj_tuple_rps = plan_rps(nexec, nlj_plan, nlj_pairs, 2);
-  nexec.set_vectorized(true);
+  double merge_rps = plan_rps(fexec, merge_plan, merge_rows, 2);
+  std::fprintf(stderr, "  simd merge_join   %9.0f Mrows/s\n", merge_rps / 1e6);
   std::vector<double> nlj_rps;
   for (simd::Level level : levels) {
     simd::SetLevelForTest(level);
     nlj_rps.push_back(plan_rps(nexec, nlj_plan, nlj_pairs, 2));
   }
   simd::SetLevelForTest(entry_level);
-  std::fprintf(stderr, "  simd nlj          tuple %9.0f Mpairs/s",
-               nlj_tuple_rps / 1e6);
+  std::fprintf(stderr, "  simd nlj         ");
   for (size_t i = 0; i < levels.size(); ++i) {
     std::fprintf(stderr, "  %s %9.0f Mpairs/s", simd::LevelName(levels[i]),
                  nlj_rps[i] / 1e6);
@@ -382,11 +377,8 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
           << (fi + 1 < families.size() ? "," : "") << "\n";
   }
   sjson << "  ],\n  \"merge_join\": {\"rows\": " << merge_rows
-        << ", \"tuple_rows_per_sec\": " << merge_tuple_rps
-        << ", \"vectorized_rows_per_sec\": " << merge_vec_rps
-        << ", \"vectorized_speedup\": " << merge_vec_rps / merge_tuple_rps
-        << "},\n  \"nested_loop_join\": {\"pairs\": " << nlj_pairs
-        << ", \"tuple_pairs_per_sec\": " << nlj_tuple_rps;
+        << ", \"rows_per_sec\": " << merge_rps
+        << "},\n  \"nested_loop_join\": {\"pairs\": " << nlj_pairs;
   for (size_t i = 0; i < levels.size(); ++i) {
     sjson << ", \"" << simd::LevelName(levels[i])
           << "_pairs_per_sec\": " << nlj_rps[i];
@@ -414,20 +406,16 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
 #endif
 }
 
-// Site 13 (also standalone via --agg-only): the late-materialization output
-// pipeline (DESIGN.md "Late materialization & output pipeline"). Three jobs:
+// Site 12 (also standalone via --agg-only): the late-materialization output
+// pipeline (DESIGN.md "Late materialization & output pipeline"). Two jobs:
 //   1. Determinism fingerprint: grouped aggregation over a scan, grouped
 //      aggregation over a hash join (deferred row-id probe feeding the
 //      sink), and a bare projection, executed at every supported LQO_SIMD
-//      level x scalar/vectorized path. The fingerprint folds every output
-//      value (FNV over output_cols), output_row_count and the
-//      carried/materialized/groups profile counters, and RunSite sweeps it
-//      across thread counts — any bit divergence across the full
-//      level x path x threads cube fails the bench.
-//   2. Throughput A/B scalar-vs-vectorized per pipeline shape, emitted as
-//      BENCH_agg.json.
-//   3. Perf floor (plain builds only): vectorized grouped aggregation must
-//      beat the tuple-at-a-time reference by >= 1.5x.
+//      level. The fingerprint folds every output value (FNV over
+//      output_cols), output_row_count and the carried/materialized/groups
+//      profile counters, and RunSite sweeps it across thread counts — any
+//      bit divergence across the level x threads cube fails the bench.
+//   2. Throughput per pipeline shape, emitted as BENCH_agg.json.
 void RunAggProjectionSite(const std::vector<int>& counts, int hw,
                           std::vector<SiteReport>* reports) {
   simd::Level entry_level = simd::ActiveLevel();
@@ -508,7 +496,7 @@ void RunAggProjectionSite(const std::vector<int>& counts, int hw,
   proj_plan.root = MakeScanNode(0);
 
   // Folds every output value: a wrong gather, group id, or aggregate at any
-  // level/path/thread count changes the fingerprint.
+  // level/thread count changes the fingerprint.
   auto output_fingerprint = [](const ExecutionResult& r) {
     uint64_t h = 0xcbf29ce484222325ull;
     for (const std::vector<int64_t>& col : r.output_cols) {
@@ -527,28 +515,24 @@ void RunAggProjectionSite(const std::vector<int>& counts, int hw,
     return f;
   };
 
-  // 1. Determinism cube: levels x scalar/vectorized inside the work
-  // function, thread counts via RunSite.
+  // 1. Determinism cube: levels inside the work function, thread counts
+  // via RunSite.
   reports->push_back(RunSite("agg_projection", counts, [&] {
     double fingerprint = 0.0;
     for (simd::Level level : levels) {
       simd::SetLevelForTest(level);
-      for (bool vectorized : {false, true}) {
-        exec.set_vectorized(vectorized);
-        for (const PhysicalPlan* plan :
-             {&group_plan, &jgroup_plan, &proj_plan}) {
-          auto r = exec.Execute(*plan);
-          LQO_CHECK(r.ok());
-          fingerprint += output_fingerprint(*r);
-        }
+      for (const PhysicalPlan* plan :
+           {&group_plan, &jgroup_plan, &proj_plan}) {
+        auto r = exec.Execute(*plan);
+        LQO_CHECK(r.ok());
+        fingerprint += output_fingerprint(*r);
       }
     }
     simd::SetLevelForTest(entry_level);
-    exec.set_vectorized(true);
     return fingerprint;
   }));
 
-  // 2. Throughput A/B at full thread count, best-of-5.
+  // 2. Throughput at full thread count, best-of-5.
   ThreadPool::SetGlobalThreads(hw);
   static volatile double agg_sink = 0.0;
   auto plan_rps = [&](const PhysicalPlan& plan, double rows, int passes) {
@@ -565,60 +549,38 @@ void RunAggProjectionSite(const std::vector<int>& counts, int hw,
     }
     return rows * passes / best;
   };
-  struct ShapeAb {
+  struct Shape {
     const char* name;
     const PhysicalPlan* plan;
     double rows;
     uint64_t output_rows = 0;
-    double scalar_rps = 0.0;
-    double vec_rps = 0.0;
+    double rps = 0.0;
   };
-  std::vector<ShapeAb> shapes = {
+  std::vector<Shape> shapes = {
       {"grouped_scan", &group_plan, static_cast<double>(kFactRows)},
       {"grouped_join", &jgroup_plan, static_cast<double>(kFactRows) + 2048.0},
       {"projection", &proj_plan, static_cast<double>(kFactRows)}};
-  for (ShapeAb& s : shapes) {
-    exec.set_vectorized(true);
+  for (Shape& s : shapes) {
     auto r = exec.Execute(*s.plan);
     LQO_CHECK(r.ok());
     s.output_rows = r->output_row_count;
-    exec.set_vectorized(false);
-    s.scalar_rps = plan_rps(*s.plan, s.rows, 5);
-    exec.set_vectorized(true);
-    s.vec_rps = plan_rps(*s.plan, s.rows, 5);
-    std::fprintf(stderr,
-                 "  agg %-13s scalar %12.0f rows/s  batch %12.0f rows/s  "
-                 "(%.2fx; %llu output rows)\n",
-                 s.name, s.scalar_rps, s.vec_rps, s.vec_rps / s.scalar_rps,
-                 static_cast<unsigned long long>(s.output_rows));
+    s.rps = plan_rps(*s.plan, s.rows, 5);
+    std::fprintf(stderr, "  agg %-13s %12.0f rows/s  (%llu output rows)\n",
+                 s.name, s.rps, static_cast<unsigned long long>(s.output_rows));
   }
 
-  // 3. JSON + perf floor.
   std::ofstream ajson("BENCH_agg.json");
   ajson << "{\n  \"rows\": " << kFactRows << ",\n  \"shapes\": [\n";
   for (size_t i = 0; i < shapes.size(); ++i) {
-    const ShapeAb& s = shapes[i];
+    const Shape& s = shapes[i];
     ajson << "    {\"name\": \"" << s.name
           << "\", \"output_rows\": " << s.output_rows
-          << ", \"scalar_rows_per_sec\": " << s.scalar_rps
-          << ", \"vectorized_rows_per_sec\": " << s.vec_rps
-          << ", \"vectorized_speedup\": " << s.vec_rps / s.scalar_rps << "}"
+          << ", \"rows_per_sec\": " << s.rps << "}"
           << (i + 1 < shapes.size() ? "," : "") << "\n";
   }
   ajson << "  ]\n}\n";
   ajson.close();
   std::fprintf(stderr, "wrote BENCH_agg.json\n");
-
-#if !LQO_BENCH_SANITIZED
-  // Perf floor from ISSUE 10: vectorized grouped aggregation must beat the
-  // tuple-at-a-time reference by >= 1.5x. Compiled out under TSan/ASan.
-  for (const ShapeAb& s : shapes) {
-    if (std::string(s.name) != "grouped_scan") continue;
-    LQO_CHECK(s.vec_rps >= 1.5 * s.scalar_rps)
-        << "vectorized grouped aggregation below the 1.5x floor: " << s.vec_rps
-        << " rows/s vs scalar " << s.scalar_rps;
-  }
-#endif
 }
 
 std::vector<std::vector<double>> MakeMlRows(size_t n, size_t features,
@@ -1070,145 +1032,12 @@ int main(int argc, char** argv) {
                  compact_total_nodes, compact_bytes);
   }
 
-  // Site 11: vectorized batch executor vs the tuple-at-a-time reference.
-  // The RunSite fingerprint covers row counts, cost-model time units and
-  // the physical join counters of BOTH paths, so any divergence between
-  // scalar and vectorized — or across thread counts — trips the
-  // determinism gate here (this site runs under TSan via check.sh). The
-  // throughput A/B below feeds BENCH_vectorized.json and, in plain
-  // builds, hard-gates the vectorized scan/filter path at >= 1.5x scalar.
-  double vec_filter_rps = 0.0, scalar_filter_rps = 0.0;
-  double vec_join_rps = 0.0, scalar_join_rps = 0.0;
-  size_t vec_scan_rows = 0;
-  uint64_t vec_selected_rows = 0;
-  double vec_fingerprint = 0.0;
-  {
-    // A dedicated two-column table, wider than the chain tables, so the
-    // scan A/B is dominated by predicate evaluation + materialization
-    // rather than per-query setup.
-    Catalog vcat;
-    {
-      Rng rng(31);
-      TableBuilder builder("wide");
-      builder.AddInt64Column("k");
-      builder.AddInt64Column("v");
-      const int64_t kRows = 1 << 18;
-      for (int64_t r = 0; r < kRows; ++r) {
-        builder.AppendRow({rng.UniformInt(0, 511), rng.UniformInt(0, 999)});
-      }
-      LQO_CHECK(vcat.AddTable(builder.Build()).ok());
-    }
-    Executor vexec(&vcat);
-    vec_scan_rows = (*vcat.GetTable("wide"))->num_rows();
-
-    Query scan_q;
-    scan_q.AddTable("wide");
-    scan_q.AddPredicate(Predicate::Range(0, "v", 100, 600));
-    scan_q.AddPredicate(
-        Predicate::In(0, "k", {3, 17, 96, 204, 305, 401, 477, 508}));
-    PhysicalPlan scan_plan;
-    scan_plan.query = &scan_q;
-    scan_plan.root = MakeScanNode(0);
-
-    Executor join_exec(&chain);
-    Query join_q;
-    join_q.AddTable("t0");
-    join_q.AddTable("t1");
-    join_q.AddTable("t2");
-    join_q.AddJoin(0, "id", 1, "prev_id");
-    join_q.AddJoin(1, "id", 2, "prev_id");
-    join_q.AddPredicate(Predicate::Range(0, "val", 2, 60));
-    PhysicalPlan join_plan =
-        MakeLeftDeepPlan(join_q, join_q.AllTables(), JoinAlgorithm::kHashJoin);
-
-    auto result_fingerprint = [](const ExecutionResult& r) {
-      double f = static_cast<double>(r.row_count) * 1e-3 + r.time_units;
-      for (const NodeProfile& p : r.node_profiles) {
-        f += static_cast<double>(p.left_rows + p.right_rows + p.output_rows +
-                                 p.build_collisions + p.probe_collisions) +
-             static_cast<double>(p.partitions) + p.time_units;
-      }
-      return f;
-    };
-    reports.push_back(RunSite("vectorized_exec", counts, [&] {
-      double fingerprint = 0.0;
-      for (bool vectorized : {false, true}) {
-        vexec.set_vectorized(vectorized);
-        join_exec.set_vectorized(vectorized);
-        auto scan = vexec.Execute(scan_plan);
-        auto join = join_exec.Execute(join_plan);
-        LQO_CHECK(scan.ok());
-        LQO_CHECK(join.ok());
-        vec_selected_rows = scan->row_count;
-        // Both paths fold into ONE fingerprint: scalar/vectorized
-        // divergence is indistinguishable from thread nondeterminism
-        // here, and either fails the bench.
-        fingerprint += result_fingerprint(*scan) + result_fingerprint(*join);
-      }
-      vexec.set_vectorized(true);
-      join_exec.set_vectorized(true);
-      return fingerprint;
-    }));
-    {
-      // Recompute the (thread-invariant) fingerprint once for the JSON.
-      auto scan = vexec.Execute(scan_plan);
-      auto join = join_exec.Execute(join_plan);
-      LQO_CHECK(scan.ok() && join.ok());
-      vec_fingerprint = result_fingerprint(*scan) + result_fingerprint(*join);
-    }
-
-    ThreadPool::SetGlobalThreads(hw);
-    static volatile double vec_sink = 0.0;
-    auto exec_rows_per_sec = [&](Executor& ex, const PhysicalPlan& plan,
-                                 size_t rows_per_pass, int passes) {
-      double best = 1e100;
-      for (int rep = 0; rep < 5; ++rep) {
-        double secs = SecondsOf([&] {
-          for (int p = 0; p < passes; ++p) {
-            auto r = ex.Execute(plan);
-            LQO_CHECK(r.ok());
-            vec_sink = vec_sink + static_cast<double>(r->row_count);
-          }
-        });
-        if (secs < best) best = secs;
-      }
-      return static_cast<double>(rows_per_pass) * passes / best;
-    };
-    const size_t join_input_rows = 3 * 20000;  // base rows fed per pass
-    vexec.set_vectorized(false);
-    join_exec.set_vectorized(false);
-    scalar_filter_rps = exec_rows_per_sec(vexec, scan_plan, vec_scan_rows, 10);
-    scalar_join_rps = exec_rows_per_sec(join_exec, join_plan, join_input_rows, 5);
-    vexec.set_vectorized(true);
-    join_exec.set_vectorized(true);
-    vec_filter_rps = exec_rows_per_sec(vexec, scan_plan, vec_scan_rows, 10);
-    vec_join_rps = exec_rows_per_sec(join_exec, join_plan, join_input_rows, 5);
-    std::fprintf(stderr,
-                 "  vectorized scan/filter scalar %12.0f rows/s  batch %12.0f "
-                 "rows/s  (%.2fx)\n",
-                 scalar_filter_rps, vec_filter_rps,
-                 vec_filter_rps / scalar_filter_rps);
-    std::fprintf(stderr,
-                 "  vectorized join        scalar %12.0f rows/s  batch %12.0f "
-                 "rows/s  (%.2fx)\n",
-                 scalar_join_rps, vec_join_rps, vec_join_rps / scalar_join_rps);
-#if !LQO_BENCH_SANITIZED
-    // Perf floor from ISSUE 6: the batch scan/filter pipeline must beat the
-    // tuple-at-a-time reference by at least 1.5x. Compiled out under
-    // TSan/ASan, where instrumentation overhead distorts the ratio.
-    LQO_CHECK(vec_filter_rps >= 1.5 * scalar_filter_rps)
-        << "vectorized scan/filter regressed below 1.5x scalar: "
-        << vec_filter_rps << " vs " << scalar_filter_rps;
-#endif
-  }
-
-  // Site 12: SIMD kernel layer (levels x paths x threads determinism cube,
-  // per-family throughput A/B, BENCH_simd.json, 1.3x filter floor).
+  // Site 11: SIMD kernel layer (levels x threads determinism cube,
+  // per-family throughput, BENCH_simd.json, 1.3x filter floor).
   RunSimdKernelsSite(counts, hw, &reports);
 
-  // Site 13: late-materialization output pipeline (grouped aggregation +
-  // projection determinism cube, scalar-vs-vectorized A/B, BENCH_agg.json,
-  // 1.5x grouped-aggregation floor).
+  // Site 12: late-materialization output pipeline (grouped aggregation +
+  // projection determinism cube, per-shape throughput, BENCH_agg.json).
   RunAggProjectionSite(counts, hw, &reports);
 
   ThreadPool::SetGlobalThreads(hw);
@@ -1243,21 +1072,6 @@ int main(int argc, char** argv) {
   ijson << "  ]\n}\n";
   ijson.close();
   std::fprintf(stderr, "wrote BENCH_inference.json\n");
-
-  std::ofstream vjson("BENCH_vectorized.json");
-  vjson << "{\n  \"scan_rows\": " << vec_scan_rows
-        << ",\n  \"selected_rows\": " << vec_selected_rows
-        << ",\n  \"result_fingerprint\": " << vec_fingerprint
-        << ",\n  \"scan_filter\": {\"scalar_rows_per_sec\": "
-        << scalar_filter_rps
-        << ", \"vectorized_rows_per_sec\": " << vec_filter_rps
-        << ", \"vectorized_speedup\": " << vec_filter_rps / scalar_filter_rps
-        << "},\n  \"hash_join\": {\"scalar_rows_per_sec\": " << scalar_join_rps
-        << ", \"vectorized_rows_per_sec\": " << vec_join_rps
-        << ", \"vectorized_speedup\": " << vec_join_rps / scalar_join_rps
-        << "}\n}\n";
-  vjson.close();
-  std::fprintf(stderr, "wrote BENCH_vectorized.json\n");
 
   std::ofstream json("BENCH_parallel.json");
   json << "{\n  \"hardware_concurrency\": " << hw << ",\n  \"sites\": [\n";

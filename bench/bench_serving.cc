@@ -11,7 +11,7 @@
 //    check.sh TSan stage does);
 //  - throughput: warm-cache serving must be >= 3x the optimize-every-query
 //    baseline for the native DP producer (compiled out under sanitizers,
-//    like the BENCH_vectorized gates).
+//    like the bench_parallel_scaling throughput gates).
 
 #include <cstdint>
 #include <cstdio>

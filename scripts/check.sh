@@ -60,18 +60,19 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
 # The scaling bench sweeps every parallel site at 1/2/4/N threads under
-# TSan and exits nonzero if any site diverges from its serial result. Its
-# vectorized_exec site additionally folds the scalar and batch executor
-# paths into one fingerprint, so a scalar/vectorized divergence fails here
-# too (the >=1.5x throughput floor is compiled out under sanitizers).
+# TSan and exits nonzero if any site diverges from its serial result (the
+# throughput floors are compiled out under sanitizers).
 "$BUILD_DIR"/bench/bench_parallel_scaling
 
-# Vectorized-executor and SIMD-dispatch gates, under TSan + 4 threads:
-# selection-vector kernel reference checks, scan/join edge-case batches,
-# per-ISA-level kernel bit-equality, the LQO_SIMD override path, the real
-# merge/NLJ join paths, and bit-equality of scalar vs vectorized results at
-# 1/2/8 threads.
-"$BUILD_DIR"/tests/engine_test --gtest_filter='Vectorized*:Simd*'
+# Executor and SIMD-dispatch gates, under TSan + 4 threads: selection-vector
+# kernel reference checks, per-ISA-level kernel bit-equality, the LQO_SIMD
+# override path, and the oracle-backed engine tests — scan/join edge-case
+# batches and the real merge/NLJ join paths checked against the naive
+# evaluator of tests/naive_exec_oracle.h and bit-identical at every SIMD
+# level x 1/2/8 threads — plus the plan-shape checks that reject malformed
+# plan trees before execution.
+"$BUILD_DIR"/tests/engine_test \
+  --gtest_filter='Vectorized*:Simd*:ExecutorTest.Rejects*'
 # The kernel microbenchmarks' fixture CHECK-fails if any filter kernel
 # disagrees with per-row Predicate::Matches or any SIMD level diverges from
 # the scalar reference table on odd batch sizes.
@@ -79,18 +80,19 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
   --benchmark_filter='Kernel' --benchmark_min_time=0.05
 # SIMD determinism fingerprint, twice: once pinned to the scalar reference
 # level and once at the best detected level. The site itself sweeps every
-# supported level x scalar/vectorized path x 1/2/4/N threads and exits
-# nonzero on any bit divergence (the >=1.3x filter-kernel floor is compiled
-# out under sanitizers).
+# supported level x 1/2/4/N threads over its scan, hash, merge, NLJ and
+# 3-way chain plans and exits nonzero on any bit divergence (the >=1.3x
+# filter-kernel floor is compiled out under sanitizers).
 LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
 "$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
 
 # Late-materialization output pipeline gates, under TSan + 4 threads:
-# aggregate-kernel bit-equality at boundary batch sizes, GROUP BY hash
-# aggregation, projection gathers, thread/SIMD-level invariance, then the
-# agg_projection determinism fingerprint (every supported level x
-# scalar/vectorized path x 1/2/4/N threads, folding every output value;
-# the >=1.5x grouped-aggregation floor is compiled out under sanitizers).
+# aggregate-kernel bit-equality at boundary batch sizes, then the
+# oracle-backed GROUP BY, global-aggregate (overflowing SUM included) and
+# projection tests — outputs equal the naive evaluator's and stay
+# bit-identical at every SIMD level x 1/2/8 threads — then the
+# agg_projection determinism fingerprint (every supported level x 1/2/4/N
+# threads, folding every output value).
 "$BUILD_DIR"/tests/engine_test \
   --gtest_filter='Aggregate*:Projection*:GroupIndex*'
 LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --agg-only

@@ -26,7 +26,8 @@ namespace lqo::simd {
 ///    horizontally equal the scalar left-to-right fold on every input —
 ///    including overflowing ones — and the result is independent of lane
 ///    width. (Signed accumulation would be UB on overflow; the executor
-///    casts the final value back to int64.)
+///    casts the final value back to int64 — the modulo-2^64 SUM of the
+///    AggFunc contract in query/query.h.)
 ///  - MIN/MAX are associative/commutative idempotent folds; lane order
 ///    cannot change the result. Empty inputs return the fold identities
 ///    (INT64_MAX for MIN, INT64_MIN for MAX); the executor rewrites empty
@@ -52,9 +53,10 @@ const AggKernelTable& AggKernels();
 const AggKernelTable& AggKernelsFor(Level level);
 
 /// Open-addressing GROUP BY key table: maps int64 key values to dense group
-/// ids assigned in *first-seen row order* — exactly the order the scalar
-/// tuple-at-a-time reference assigns them, so grouped output rows are
-/// bit-identical across paths. Reuses the partitioned-join hashing
+/// ids assigned in *first-seen row order* — the order the executor's dense
+/// key path and the naive test oracle (tests/naive_exec_oracle.h, a
+/// std::map from key to first-seen index) assign them, so grouped output
+/// rows do not depend on which path ran. Reuses the partitioned-join hashing
 /// contract: callers hash keys batch-wise through the dispatched
 /// hash_combine_column/hash_finalize kernels (bit-identical to
 /// FinalizeHash(HashCombine(0, key)) at every level) and pass the hashes

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -47,26 +44,14 @@ double WallSeconds(const std::chrono::steady_clock::time_point& start) {
   return elapsed.count();
 }
 
-// An intermediate result. The two execution modes store it differently:
-//
-//  - The scalar reference path materializes *early*: value columns for the
-//    join keys and output-stage columns of every covered table, copied
-//    forward through each operator (col_keys/cols).
-//  - The vectorized path materializes *late*: only per-base-table row-id
-//    columns flow between operators (rowid_tables/rowids); join keys are
-//    gathered on demand from base tables, and the output stage gathers
-//    values through the surviving row ids at the very end. Intermediates
-//    under COUNT(*) carry nothing at all past each join's key needs.
-//
-// Both modes agree on num_rows and row order, which is all the
-// ExecutionResult bit-equality contract needs.
+// An intermediate result, materialized *late*: only per-base-table row-id
+// columns flow between operators; join keys are gathered on demand from
+// base tables, and the output stage gathers values through the surviving
+// row ids at the very end. Intermediates under COUNT(*) carry nothing at
+// all past each join's key needs.
 struct Chunk {
-  // Scalar mode. Parallel vectors: col_keys[i] identifies cols[i].
-  std::vector<std::pair<int, std::string>> col_keys;
-  std::vector<std::vector<int64_t>> cols;
-
-  // Vectorized mode. Parallel vectors: rowids[i] holds base-table row ids
-  // of query table rowid_tables[i], one entry per intermediate row.
+  // Parallel vectors: rowids[i] holds base-table row ids of query table
+  // rowid_tables[i], one entry per intermediate row.
   std::vector<int> rowid_tables;
   std::vector<std::vector<uint32_t>> rowids;
   // True when every rowid column is strictly ascending (scan outputs);
@@ -76,15 +61,6 @@ struct Chunk {
 
   uint64_t num_rows = 0;
 
-  int FindColumn(int table_index, const std::string& column) const {
-    for (size_t i = 0; i < col_keys.size(); ++i) {
-      if (col_keys[i].first == table_index && col_keys[i].second == column) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
   int FindRowids(int table_index) const {
     for (size_t i = 0; i < rowid_tables.size(); ++i) {
       if (rowid_tables[i] == table_index) return static_cast<int>(i);
@@ -92,13 +68,6 @@ struct Chunk {
     return -1;
   }
 };
-
-// Scalar hash steps live in engine/simd.h (HashCombine / FinalizeHash) so
-// the SIMD hash kernels and this row-at-a-time reference share one
-// definition; the batched path calls the dispatched N-lane kernels, which
-// are bit-identical by the simd layer's contract.
-using simd::FinalizeHash;
-using simd::HashCombine;
 
 double Log2Rows(uint64_t rows) {
   return std::log2(static_cast<double>(std::max<uint64_t>(rows, 2)));
@@ -156,33 +125,56 @@ struct JoinHashTable {
   }
 };
 
-// Per-aggregate accumulator state shared by the scalar reference and the
-// kernel path: SUM in wrapping uint64 (see engine/agg_kernels.h for why
-// that is lane-order independent), MIN/MAX from their fold identities. One
-// finalize block converts it to the emitted int64 in both modes.
+// Per-aggregate accumulator state: SUM in wrapping uint64 (see
+// engine/agg_kernels.h for why that is lane-order independent), MIN/MAX
+// from their fold identities. FinalizeAgg converts it to the emitted int64.
 struct AggAcc {
   uint64_t sum = 0;
   int64_t mn = INT64_MAX;
   int64_t mx = INT64_MIN;
 };
 
-// Process-wide default for the vectorized executor: on unless LQO_VECTORIZED=0.
-bool DefaultVectorized() {
-  const char* v = std::getenv("LQO_VECTORIZED");
-  return v == nullptr || std::string_view(v) != "0";
+// Rejects plan trees the runner would otherwise index or dereference
+// unchecked. Plans also come from learned producers, hints and PilotScope
+// drivers, so a malformed tree must surface as a Status, never a crash.
+Status ValidatePlanShape(const PlanNode& node, int num_tables) {
+  if (node.kind == PlanNode::Kind::kScan) {
+    if (node.table_index < 0 || node.table_index >= num_tables) {
+      return Status::InvalidArgument("scan table index outside the query");
+    }
+    if (node.table_set != TableBit(node.table_index)) {
+      return Status::InvalidArgument("scan table_set differs from its table");
+    }
+    return Status::Ok();
+  }
+  if (node.kind != PlanNode::Kind::kJoin) {
+    return Status::InvalidArgument("output node inside a plan tree");
+  }
+  if (node.left == nullptr || node.right == nullptr) {
+    return Status::InvalidArgument("join child is null");
+  }
+  if ((node.left->table_set & node.right->table_set) != 0) {
+    return Status::InvalidArgument("join inputs cover overlapping tables");
+  }
+  if (node.table_set != (node.left->table_set | node.right->table_set)) {
+    return Status::InvalidArgument(
+        "join table_set differs from the union of its inputs");
+  }
+  Status left = ValidatePlanShape(*node.left, num_tables);
+  if (!left.ok()) return left;
+  return ValidatePlanShape(*node.right, num_tables);
 }
 
 class PlanRunner {
  public:
   PlanRunner(const Catalog& catalog, const CostConstants& constants,
-             const Query& query, bool vectorized)
-      : catalog_(catalog),
-        constants_(constants),
-        query_(query),
-        vectorized_(vectorized) {}
+             const Query& query)
+      : catalog_(catalog), constants_(constants), query_(query) {}
 
   StatusOr<ExecutionResult> Run(const PlanNode& root) {
-    Status valid = ValidateOutputStage(root);
+    Status valid = ValidatePlanShape(root, query_.num_tables());
+    if (!valid.ok()) return valid;
+    valid = ValidateOutputStage(root);
     if (!valid.ok()) return valid;
     auto chunk_or = Evaluate(root, SinkTables() & root.table_set);
     if (!chunk_or.ok()) return chunk_or.status();
@@ -256,31 +248,9 @@ class PlanRunner {
     return &table.column(*idx);
   }
 
-  // Columns of `table_index` a *scalar* intermediate must carry: the join
-  // keys used anywhere in the query plus the columns the output stage
-  // reads. (The vectorized path carries row ids instead and gathers both
-  // on demand — that is the late-materialization tentpole.)
-  std::vector<std::string> NeededColumns(int table_index) const {
-    std::vector<std::string> cols;
-    auto add = [&](const std::string& c) {
-      if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
-        cols.push_back(c);
-      }
-    };
-    for (const QueryJoin& j : query_.joins()) {
-      if (j.left_table == table_index) add(j.left_column);
-      if (j.right_table == table_index) add(j.right_column);
-    }
-    for (const std::string& c : query_.OutputColumnsOf(table_index)) add(c);
-    return cols;
-  }
-
   // `keep` is the set of tables whose row ids this node's output must carry
   // for consumers above it (ancestor join keys + the output sink); always a
-  // subset of node.table_set. Threaded through both paths: the vectorized
-  // path materializes exactly these row-id columns, the scalar path uses it
-  // only for the (structurally defined, therefore path-identical)
-  // late-materialization profile counters.
+  // subset of node.table_set.
   StatusOr<Chunk> Evaluate(const PlanNode& node, TableSet keep) {
     if (node.kind == PlanNode::Kind::kScan) return EvaluateScan(node, keep);
     return EvaluateJoin(node, keep);
@@ -294,70 +264,33 @@ class PlanRunner {
     const Table& table = **table_or;
 
     std::vector<Predicate> predicates = query_.PredicatesOf(node.table_index);
-    // Resolve predicate + needed columns up front.
     std::vector<const Column*> pred_cols;
     for (const Predicate& p : predicates) {
       auto idx = table.ColumnIndex(p.column);
       if (!idx.ok()) return idx.status();
       pred_cols.push_back(&table.column(*idx));
     }
-    std::vector<std::string> needed;
-    std::vector<const Column*> out_cols;
-    if (!vectorized_) {
-      needed = NeededColumns(node.table_index);
-      for (const std::string& name : needed) {
-        auto idx = table.ColumnIndex(name);
-        if (!idx.ok()) return idx.status();
-        out_cols.push_back(&table.column(*idx));
-      }
-    }
     const bool keep_ids = ContainsTable(keep, node.table_index);
 
     size_t n = table.num_rows();
+    LQO_CHECK_LT(n, (1ULL << 32));
     size_t num_morsels =
         n >= kParallelScanMinRows ? (n + kScanMorselRows - 1) / kScanMorselRows
                                   : 1;
 
     // Each morsel filters its row range into a private output; morsels are
-    // then concatenated in index order, reproducing the serial row order
-    // exactly.
+    // then concatenated in index order, reproducing base-row order exactly.
+    // Within a morsel, batches of kVecBatchRows flow through the branch-free
+    // filter kernels; survivors are recorded as *row ids only* (when a
+    // consumer above needs them) — no value column is copied. Selection
+    // vectors stay ascending and predicates are applied in query order, so
+    // the surviving rows are exactly those Predicate::Matches accepts, in
+    // base-row order.
     struct MorselOut {
-      std::vector<std::vector<int64_t>> cols;  // scalar: value columns
-      std::vector<uint32_t> ids;               // vectorized: row ids
+      std::vector<uint32_t> ids;
       uint64_t num_rows = 0;
     };
-    // Tuple-at-a-time reference path, kept byte-for-byte equivalent to the
-    // vectorized twin below for the LQO_VECTORIZED=0 A/B contract.
-    auto run_morsel_scalar = [&](size_t m) {
-      MorselOut out;
-      out.cols.resize(out_cols.size());
-      size_t begin = m * n / num_morsels;
-      size_t end = (m + 1) * n / num_morsels;
-      for (size_t row = begin; row < end; ++row) {
-        bool pass = true;
-        for (size_t p = 0; p < predicates.size(); ++p) {
-          if (!predicates[p].Matches(pred_cols[p]->data[row])) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        for (size_t c = 0; c < out_cols.size(); ++c) {
-          // lint: hot-loop-growth-ok(scalar reference path, not the hot kernel)
-          out.cols[c].push_back(out_cols[c]->data[row]);
-        }
-        ++out.num_rows;
-      }
-      return out;
-    };
-    // Batch-at-a-time twin: same morsel boundaries, batches of kVecBatchRows
-    // flow through the branch-free filter kernels; survivors are recorded as
-    // *row ids only* (when a consumer above needs them) — no value column is
-    // copied. Selection vectors stay ascending and predicates are applied in
-    // query order, so surviving rows (and their order) match the scalar loop
-    // exactly; evaluating later predicates only on survivors is equivalent
-    // to the scalar short-circuit.
-    auto run_morsel_vectorized = [&](size_t m) {
+    std::vector<MorselOut> morsels = ParallelMap(num_morsels, [&](size_t m) {
       MorselOut out;
       size_t begin = m * n / num_morsels;
       size_t end = (m + 1) * n / num_morsels;
@@ -397,36 +330,18 @@ class PlanRunner {
         out.num_rows += count;
       }
       return out;
-    };
-    if (vectorized_) LQO_CHECK_LT(n, (1ULL << 32));
-    std::vector<MorselOut> morsels =
-        vectorized_ ? ParallelMap(num_morsels, run_morsel_vectorized)
-                    : ParallelMap(num_morsels, run_morsel_scalar);
+    });
 
     Chunk chunk;
+    chunk.rowids_ascending = true;
     for (const MorselOut& m : morsels) chunk.num_rows += m.num_rows;
-    if (vectorized_) {
-      chunk.rowids_ascending = true;
-      if (keep_ids) {
-        chunk.rowid_tables.push_back(node.table_index);
-        chunk.rowids.emplace_back();
-        std::vector<uint32_t>& ids = chunk.rowids[0];
-        ids.reserve(static_cast<size_t>(chunk.num_rows));
-        for (const MorselOut& m : morsels) {
-          ids.insert(ids.end(), m.ids.begin(), m.ids.end());
-        }
-      }
-    } else {
-      for (const std::string& name : needed) {
-        chunk.col_keys.emplace_back(node.table_index, name);
-        chunk.cols.emplace_back();
-      }
-      for (size_t c = 0; c < chunk.cols.size(); ++c) {
-        chunk.cols[c].reserve(static_cast<size_t>(chunk.num_rows));
-        for (const MorselOut& m : morsels) {
-          chunk.cols[c].insert(chunk.cols[c].end(), m.cols[c].begin(),
-                               m.cols[c].end());
-        }
+    if (keep_ids) {
+      chunk.rowid_tables.push_back(node.table_index);
+      chunk.rowids.emplace_back();
+      std::vector<uint32_t>& ids = chunk.rowids[0];
+      ids.reserve(static_cast<size_t>(chunk.num_rows));
+      for (const MorselOut& m : morsels) {
+        ids.insert(ids.end(), m.ids.begin(), m.ids.end());
       }
     }
 
@@ -480,8 +395,7 @@ class PlanRunner {
   StatusOr<Chunk> EvaluateJoin(const PlanNode& node, TableSet keep) {
     // Join conditions crossing the two sides, resolved to (table, column)
     // per side. Built from the query's join list in declaration order —
-    // the same order the scalar key loop and the column-wise hash kernels
-    // combine keys, so hashes match bit for bit.
+    // the order the column-wise hash kernels combine keys in.
     struct KeyRef {
       int ltab;
       std::string lcol;
@@ -524,58 +438,42 @@ class PlanRunner {
     LQO_CHECK_LT(right.num_rows, (1ULL << 32));
 
     // Unified key access for every strategy: lkeys[k][row] is key k of left
-    // row `row`. Scalar mode points into the early-materialized chunk
-    // columns; vectorized mode gathers scratch key columns from base tables
-    // through the carried row ids (the only per-join materialization the
-    // late pipeline does).
+    // row `row`, gathered from base tables through the carried row ids (the
+    // only per-join materialization the late pipeline does).
     std::vector<std::vector<int64_t>> lkey_store(key_refs.size());
     std::vector<std::vector<int64_t>> rkey_store(key_refs.size());
     std::vector<const int64_t*> lkeys;
     std::vector<const int64_t*> rkeys;
-    if (vectorized_) {
-      for (size_t k = 0; k < key_refs.size(); ++k) {
-        Status s = GatherKeyColumn(left, key_refs[k].ltab, key_refs[k].lcol,
-                                   &lkey_store[k]);
-        if (!s.ok()) return s;
-        s = GatherKeyColumn(right, key_refs[k].rtab, key_refs[k].rcol,
-                            &rkey_store[k]);
-        if (!s.ok()) return s;
-        lkeys.push_back(lkey_store[k].data());
-        rkeys.push_back(rkey_store[k].data());
-      }
-    } else {
-      for (const KeyRef& k : key_refs) {
-        int lc = left.FindColumn(k.ltab, k.lcol);
-        int rc = right.FindColumn(k.rtab, k.rcol);
-        if (lc < 0 || rc < 0) {
-          return Status::Internal("join key column missing from intermediate");
-        }
-        lkeys.push_back(left.cols[static_cast<size_t>(lc)].data());
-        rkeys.push_back(right.cols[static_cast<size_t>(rc)].data());
-      }
+    for (size_t k = 0; k < key_refs.size(); ++k) {
+      Status s = GatherKeyColumn(left, key_refs[k].ltab, key_refs[k].lcol,
+                                 &lkey_store[k]);
+      if (!s.ok()) return s;
+      s = GatherKeyColumn(right, key_refs[k].rtab, key_refs[k].rcol,
+                          &rkey_store[k]);
+      if (!s.ok()) return s;
+      lkeys.push_back(lkey_store[k].data());
+      rkeys.push_back(rkey_store[k].data());
     }
 
     // Which child row-id column feeds each kept table of the output.
     std::vector<RowidSrc> rowid_plan;
-    if (vectorized_) {
-      for (int t = 0; t < query_.num_tables(); ++t) {
-        if (!ContainsTable(keep, t)) continue;
-        RowidSrc s;
-        s.table = t;
-        int li = left.FindRowids(t);
-        int ri = right.FindRowids(t);
-        if (li >= 0) {
-          s.from_left = true;
-          s.src_col = static_cast<size_t>(li);
-        } else if (ri >= 0) {
-          s.from_left = false;
-          s.src_col = static_cast<size_t>(ri);
-        } else {
-          return Status::Internal(
-              "row ids for kept table missing from join input");
-        }
-        rowid_plan.push_back(s);
+    for (int t = 0; t < query_.num_tables(); ++t) {
+      if (!ContainsTable(keep, t)) continue;
+      RowidSrc s;
+      s.table = t;
+      int li = left.FindRowids(t);
+      int ri = right.FindRowids(t);
+      if (li >= 0) {
+        s.from_left = true;
+        s.src_col = static_cast<size_t>(li);
+      } else if (ri >= 0) {
+        s.from_left = false;
+        s.src_col = static_cast<size_t>(ri);
+      } else {
+        return Status::Internal(
+            "row ids for kept table missing from join input");
       }
+      rowid_plan.push_back(s);
     }
 
     // Pick the physical strategy from the declared algorithm and the
@@ -668,20 +566,55 @@ class PlanRunner {
     double concat_seconds = 0.0;
   };
 
-  // Shared output-chunk scaffolding for the three strategies: scalar mode
-  // concatenates both sides' value-column schemas, vectorized mode lays out
-  // the kept row-id columns.
-  void InitJoinOut(const Chunk& left, const Chunk& right,
-                   const std::vector<RowidSrc>& rowid_plan, Chunk* out) const {
-    if (vectorized_) {
-      for (const RowidSrc& s : rowid_plan) out->rowid_tables.push_back(s.table);
-      out->rowids.resize(rowid_plan.size());
-      return;
+  // Fixed-size buffer of matched (left row, right row) pairs, shared by the
+  // three strategies. Flush() resolves the buffered pairs to the kept row-id
+  // columns in bulk — the payload gather is deferred all the way to the
+  // sink. Flush boundaries never reorder matches, so the emitted rows are
+  // the match sequence itself.
+  template <typename LeftIndex>
+  struct MatchBuffer {
+    MatchBuffer(const Chunk& l, const Chunk& r,
+                const std::vector<RowidSrc>& plan,
+                std::vector<std::vector<uint32_t>>* out_cols,
+                uint64_t* out_rows)
+        : left(l), right(r), rowid_plan(plan), cols(out_cols),
+          num_rows(out_rows) {}
+
+    const Chunk& left;
+    const Chunk& right;
+    const std::vector<RowidSrc>& rowid_plan;
+    std::vector<std::vector<uint32_t>>* cols;
+    uint64_t* num_rows;
+    LeftIndex match_l[kVecBatchRows];
+    uint32_t match_r[kVecBatchRows];
+    size_t n_match = 0;
+
+    void Add(LeftIndex l, uint32_t r) {
+      match_l[n_match] = l;
+      match_r[n_match] = r;
+      if (++n_match == kVecBatchRows) Flush();
     }
-    out->col_keys = left.col_keys;
-    out->col_keys.insert(out->col_keys.end(), right.col_keys.begin(),
-                         right.col_keys.end());
-    out->cols.resize(left.cols.size() + right.cols.size());
+    void Flush() {
+      for (size_t c = 0; c < rowid_plan.size(); ++c) {
+        const RowidSrc& s = rowid_plan[c];
+        if (s.from_left) {
+          GatherAppend(left.rowids[s.src_col].data(), match_l, n_match,
+                       &(*cols)[c]);
+        } else {
+          GatherAppend(right.rowids[s.src_col].data(), match_r, n_match,
+                       &(*cols)[c]);
+        }
+      }
+      *num_rows += n_match;
+      n_match = 0;
+    }
+  };
+
+  // Lays out the kept row-id columns of a join's output chunk.
+  static void InitJoinOut(const std::vector<RowidSrc>& rowid_plan,
+                          Chunk* out) {
+    for (const RowidSrc& s : rowid_plan) out->rowid_tables.push_back(s.table);
+    out->rowids.resize(rowid_plan.size());
   }
 
   // Radix-partitioned open-addressing hash join — the workhorse strategy,
@@ -699,16 +632,10 @@ class PlanRunner {
             : 1;
     const simd::KernelTable& kt = simd::Kernels();
 
-    auto key_hash = [&](const std::vector<const int64_t*>& keys, size_t row) {
-      uint64_t h = 0;
-      for (const int64_t* data : keys) h = HashCombine(h, data[row]);
-      return FinalizeHash(h);
-    };
     // Column-wise batched hash kernel: one dispatched N-lane combine pass
     // per key column over the morsel range, then one finalize pass. Per row
-    // it combines the key columns in the same order as key_hash, and the
-    // SIMD kernels are bit-identical to the scalar steps, so every hash
-    // value matches the row-at-a-time computation.
+    // it equals FinalizeHash over HashCombine of the key columns in order,
+    // at every SIMD level (the simd layer's bit-identity contract).
     auto hash_range_columnwise = [&](const std::vector<const int64_t*>& keys,
                                      size_t begin, size_t end,
                                      uint64_t* hashes) {
@@ -725,13 +652,7 @@ class PlanRunner {
     std::vector<uint64_t> right_hashes(static_cast<size_t>(right.num_rows));
     ParallelFor(HashMorsels(right.num_rows), [&](size_t m) {
       auto [begin, end] = MorselRange(m, right.num_rows);
-      if (vectorized_) {
-        hash_range_columnwise(rkeys, begin, end, right_hashes.data());
-        return;
-      }
-      for (size_t r = begin; r < end; ++r) {
-        right_hashes[r] = key_hash(rkeys, r);
-      }
+      hash_range_columnwise(rkeys, begin, end, right_hashes.data());
     });
     // Serial scatter in row order: partition row lists preserve build-side
     // row order, making table layout independent of thread count.
@@ -771,85 +692,26 @@ class PlanRunner {
     std::vector<uint64_t> left_hashes(static_cast<size_t>(left.num_rows));
     ParallelFor(HashMorsels(left.num_rows), [&](size_t m) {
       auto [begin, end] = MorselRange(m, left.num_rows);
-      if (vectorized_) {
-        hash_range_columnwise(lkeys, begin, end, left_hashes.data());
-        return;
-      }
-      for (size_t l = begin; l < end; ++l) {
-        left_hashes[l] = key_hash(lkeys, l);
-      }
+      hash_range_columnwise(lkeys, begin, end, left_hashes.data());
     });
     std::vector<std::vector<uint64_t>> probe_rows(num_partitions);
     for (uint64_t l = 0; l < left.num_rows; ++l) {
       probe_rows[PartitionOf(left_hashes[l], num_partitions)].push_back(l);
     }
 
-    size_t left_width = left.cols.size();
-    size_t out_width = left_width + right.cols.size();
     struct PartitionOut {
-      std::vector<std::vector<int64_t>> cols;        // scalar mode
-      std::vector<std::vector<uint32_t>> rowid_cols; // vectorized mode
+      std::vector<std::vector<uint32_t>> rowid_cols;
       uint64_t num_rows = 0;
       uint64_t probe_collisions = 0;
     };
     // Each partition probes its left rows in (preserved) row order against
-    // its private table, emitting into an index-addressed slot.
+    // its private table, buffering matches into an index-addressed slot.
     std::vector<PartitionOut> outs = ParallelMap(num_partitions, [&](size_t p) {
       PartitionOut out;
       const JoinHashTable& table = tables[p];
-      if (vectorized_) {
-        // Batched probe: the slot walk (and its collision counting) is
-        // identical to the scalar path, but surviving (l, r) pairs land in
-        // fixed-size match buffers and resolve to *row-id* columns in bulk
-        // — the payload gather is deferred all the way to the sink. Flush
-        // boundaries never reorder matches, so the output is bit-identical.
-        out.rowid_cols.resize(rowid_plan.size());
-        uint64_t match_l[kVecBatchRows];
-        uint32_t match_r[kVecBatchRows];
-        size_t n_match = 0;
-        auto flush = [&] {
-          for (size_t c = 0; c < rowid_plan.size(); ++c) {
-            const RowidSrc& s = rowid_plan[c];
-            if (s.from_left) {
-              GatherAppend(left.rowids[s.src_col].data(), match_l, n_match,
-                           &out.rowid_cols[c]);
-            } else {
-              GatherAppend(right.rowids[s.src_col].data(), match_r, n_match,
-                           &out.rowid_cols[c]);
-            }
-          }
-          out.num_rows += n_match;
-          n_match = 0;
-        };
-        for (uint64_t l : probe_rows[p]) {
-          uint64_t h = left_hashes[l];
-          size_t slot = static_cast<size_t>(h) & table.mask;
-          while (table.rows[slot] != JoinHashTable::kEmpty) {
-            if (table.hashes[slot] != h) {
-              ++out.probe_collisions;
-              slot = (slot + 1) & table.mask;
-              continue;
-            }
-            uint32_t r = table.rows[slot];
-            bool match = true;
-            for (size_t k = 0; k < lkeys.size(); ++k) {
-              if (lkeys[k][l] != rkeys[k][r]) {
-                match = false;
-                break;
-              }
-            }
-            if (match) {
-              match_l[n_match] = l;
-              match_r[n_match] = r;
-              if (++n_match == kVecBatchRows) flush();
-            }
-            slot = (slot + 1) & table.mask;
-          }
-        }
-        flush();
-        return out;
-      }
-      out.cols.resize(out_width);
+      out.rowid_cols.resize(rowid_plan.size());
+      MatchBuffer<uint64_t> matches{left, right, rowid_plan, &out.rowid_cols,
+                                    &out.num_rows};
       for (uint64_t l : probe_rows[p]) {
         uint64_t h = left_hashes[l];
         size_t slot = static_cast<size_t>(h) & table.mask;
@@ -867,20 +729,11 @@ class PlanRunner {
               break;
             }
           }
-          if (match) {
-            for (size_t c = 0; c < left_width; ++c) {
-              // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-              out.cols[c].push_back(left.cols[c][l]);
-            }
-            for (size_t c = 0; c < right.cols.size(); ++c) {
-              // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-              out.cols[left_width + c].push_back(right.cols[c][r]);
-            }
-            ++out.num_rows;
-          }
+          if (match) matches.Add(l, r);
           slot = (slot + 1) & table.mask;
         }
       }
+      matches.Flush();
       return out;
     });
     double probe_seconds = WallSeconds(probe_start);
@@ -889,29 +742,19 @@ class PlanRunner {
     auto concat_start = std::chrono::steady_clock::now();
     JoinExecOut exec;
     Chunk& out = exec.chunk;
-    InitJoinOut(left, right, rowid_plan, &out);
+    InitJoinOut(rowid_plan, &out);
     uint64_t probe_collisions = 0;
     for (const PartitionOut& p : outs) {
       out.num_rows += p.num_rows;
       probe_collisions += p.probe_collisions;
     }
-    if (vectorized_) {
-      ParallelFor(rowid_plan.size(), [&](size_t c) {
-        out.rowids[c].reserve(static_cast<size_t>(out.num_rows));
-        for (const PartitionOut& p : outs) {
-          out.rowids[c].insert(out.rowids[c].end(), p.rowid_cols[c].begin(),
-                               p.rowid_cols[c].end());
-        }
-      });
-    } else {
-      ParallelFor(out_width, [&](size_t c) {
-        out.cols[c].reserve(static_cast<size_t>(out.num_rows));
-        for (const PartitionOut& p : outs) {
-          out.cols[c].insert(out.cols[c].end(), p.cols[c].begin(),
-                             p.cols[c].end());
-        }
-      });
-    }
+    ParallelFor(rowid_plan.size(), [&](size_t c) {
+      out.rowids[c].reserve(static_cast<size_t>(out.num_rows));
+      for (const PartitionOut& p : outs) {
+        out.rowids[c].insert(out.rowids[c].end(), p.rowid_cols[c].begin(),
+                             p.rowid_cols[c].end());
+      }
+    });
     exec.concat_seconds = WallSeconds(concat_start);
 
     exec.build_collisions = build_collisions;
@@ -928,13 +771,10 @@ class PlanRunner {
   // kMergeJoinMaxRows. Both sides are argsorted by key tuple with the row
   // id as the final tie-break, so the sorted orders (and therefore every
   // emitted bit) are unique regardless of key duplication; the merge then
-  // emits the cross product of each equal-key run pair, runs in merge
-  // order, pairs in (left-run, right-run) row order. The scalar reference
-  // finds run ends linearly and emits tuple at a time; the vectorized path
-  // gallops to run ends (exponential probe + binary search) and emits
-  // row-id columns through fixed-size match buffers. Identical run
-  // boundaries, identical emission order. The whole strategy is serial by
-  // construction (the gate keeps inputs small), so thread count cannot
+  // gallops to each run end (exponential probe + binary search) and emits
+  // the cross product of each equal-key run pair, runs in merge order,
+  // pairs in (left-run, right-run) row order. The whole strategy is serial
+  // by construction (the gate keeps inputs small), so thread count cannot
   // influence anything.
   JoinExecOut ExecuteMergeJoin(const Chunk& left, const Chunk& right,
                                const std::vector<const int64_t*>& lkeys,
@@ -963,9 +803,8 @@ class PlanRunner {
     exec.build_seconds = WallSeconds(sort_start);
 
     auto merge_start = std::chrono::steady_clock::now();
-    size_t left_width = left.cols.size();
     Chunk& out = exec.chunk;
-    InitJoinOut(left, right, rowid_plan, &out);
+    InitJoinOut(rowid_plan, &out);
 
     auto compare_lr = [&](uint32_t l, uint32_t r) {
       for (size_t k = 0; k < lkeys.size(); ++k) {
@@ -989,8 +828,7 @@ class PlanRunner {
     };
     // First position in (begin, n) whose key differs from the key at
     // `begin`, found by galloping: exponential probe to bracket the run
-    // end, then binary search inside the bracket. Returns exactly what the
-    // linear scan of the scalar reference returns.
+    // end, then binary search inside the bracket.
     auto gallop_run_end = [](size_t begin, size_t n, auto&& equal_at) {
       size_t last = begin;  // highest index known equal to `begin`
       size_t step = 1;
@@ -1010,86 +848,33 @@ class PlanRunner {
       return last + 1;
     };
 
+    MatchBuffer<uint32_t> matches{left, right, rowid_plan, &out.rowids,
+                                  &out.num_rows};
     size_t i = 0;
     size_t j = 0;
-    if (vectorized_) {
-      uint32_t match_l[kVecBatchRows];
-      uint32_t match_r[kVecBatchRows];
-      size_t n_match = 0;
-      auto flush = [&] {
-        for (size_t c = 0; c < rowid_plan.size(); ++c) {
-          const RowidSrc& s = rowid_plan[c];
-          if (s.from_left) {
-            GatherAppend(left.rowids[s.src_col].data(), match_l, n_match,
-                         &out.rowids[c]);
-          } else {
-            GatherAppend(right.rowids[s.src_col].data(), match_r, n_match,
-                         &out.rowids[c]);
-          }
-        }
-        out.num_rows += n_match;
-        n_match = 0;
-      };
-      while (i < ln && j < rn) {
-        int c = compare_lr(lorder[i], rorder[j]);
-        if (c < 0) {
-          ++i;
-          continue;
-        }
-        if (c > 0) {
-          ++j;
-          continue;
-        }
-        size_t ie = gallop_run_end(i, ln, [&](size_t x, size_t y) {
-          return equal_ll(lorder[x], lorder[y]);
-        });
-        size_t je = gallop_run_end(j, rn, [&](size_t x, size_t y) {
-          return equal_rr(rorder[x], rorder[y]);
-        });
-        for (size_t a = i; a < ie; ++a) {
-          for (size_t b = j; b < je; ++b) {
-            match_l[n_match] = lorder[a];
-            match_r[n_match] = rorder[b];
-            if (++n_match == kVecBatchRows) flush();
-          }
-        }
-        i = ie;
-        j = je;
+    while (i < ln && j < rn) {
+      int c = compare_lr(lorder[i], rorder[j]);
+      if (c < 0) {
+        ++i;
+        continue;
       }
-      flush();
-    } else {
-      // Tuple-at-a-time reference: linear run-end scans, per-row emission.
-      while (i < ln && j < rn) {
-        int c = compare_lr(lorder[i], rorder[j]);
-        if (c < 0) {
-          ++i;
-          continue;
-        }
-        if (c > 0) {
-          ++j;
-          continue;
-        }
-        size_t ie = i + 1;
-        while (ie < ln && equal_ll(lorder[ie], lorder[i])) ++ie;
-        size_t je = j + 1;
-        while (je < rn && equal_rr(rorder[je], rorder[j])) ++je;
-        for (size_t a = i; a < ie; ++a) {
-          for (size_t b = j; b < je; ++b) {
-            for (size_t c2 = 0; c2 < left_width; ++c2) {
-              // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-              out.cols[c2].push_back(left.cols[c2][lorder[a]]);
-            }
-            for (size_t c2 = 0; c2 < right.cols.size(); ++c2) {
-              // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-              out.cols[left_width + c2].push_back(right.cols[c2][rorder[b]]);
-            }
-            ++out.num_rows;
-          }
-        }
-        i = ie;
-        j = je;
+      if (c > 0) {
+        ++j;
+        continue;
       }
+      size_t ie = gallop_run_end(i, ln, [&](size_t x, size_t y) {
+        return equal_ll(lorder[x], lorder[y]);
+      });
+      size_t je = gallop_run_end(j, rn, [&](size_t x, size_t y) {
+        return equal_rr(rorder[x], rorder[y]);
+      });
+      for (size_t a = i; a < ie; ++a) {
+        for (size_t b = j; b < je; ++b) matches.Add(lorder[a], rorder[b]);
+      }
+      i = ie;
+      j = je;
     }
+    matches.Flush();
     exec.probe_seconds = WallSeconds(merge_start);
     return exec;
   }
@@ -1098,11 +883,8 @@ class PlanRunner {
   // kNljMaxPairs. The outer (left) side is walked row by row; the inner
   // (right) side is consumed as dense kVecBatchRows batches through the
   // dispatched filter kernels: an Eq kernel on the first key column, then
-  // Eq refinements on the remaining key columns — instead of per-row
-  // Predicate-style comparisons. The scalar reference compares every
-  // (outer, inner) pair tuple at a time. Both emit pairs in (outer row,
-  // inner row) order, serially — bit-identical output, no thread
-  // sensitivity.
+  // Eq refinements on the remaining key columns. Pairs are emitted in
+  // (outer row, inner row) order, serially — no thread sensitivity.
   JoinExecOut ExecuteNestedLoopJoin(const Chunk& left, const Chunk& right,
                                     const std::vector<const int64_t*>& lkeys,
                                     const std::vector<const int64_t*>& rkeys,
@@ -1111,85 +893,48 @@ class PlanRunner {
     JoinExecOut exec;
     size_t ln = static_cast<size_t>(left.num_rows);
     uint32_t rn = static_cast<uint32_t>(right.num_rows);
-    size_t left_width = left.cols.size();
     Chunk& out = exec.chunk;
-    InitJoinOut(left, right, rowid_plan, &out);
+    InitJoinOut(rowid_plan, &out);
 
-    if (vectorized_) {
-      const int64_t* right_key0 = rkeys[0];
-      SelVector sel_a;
-      SelVector sel_b;
-      uint32_t match_l[kVecBatchRows];
-      uint32_t match_r[kVecBatchRows];
-      size_t n_match = 0;
-      auto flush = [&] {
-        for (size_t c = 0; c < rowid_plan.size(); ++c) {
-          const RowidSrc& s = rowid_plan[c];
-          if (s.from_left) {
-            GatherAppend(left.rowids[s.src_col].data(), match_l, n_match,
-                         &out.rowids[c]);
-          } else {
-            GatherAppend(right.rowids[s.src_col].data(), match_r, n_match,
-                         &out.rowids[c]);
-          }
+    const int64_t* right_key0 = rkeys[0];
+    SelVector sel_a;
+    SelVector sel_b;
+    MatchBuffer<uint32_t> matches{left, right, rowid_plan, &out.rowids,
+                                  &out.num_rows};
+    for (size_t l = 0; l < ln; ++l) {
+      for (uint32_t batch = 0; batch < rn; batch += kVecBatchRows) {
+        uint32_t e =
+            static_cast<uint32_t>(std::min<size_t>(rn, batch + kVecBatchRows));
+        uint32_t* cur = sel_a.row;
+        uint32_t* next = sel_b.row;
+        size_t count = FilterEqDense(right_key0, batch, e, lkeys[0][l], cur);
+        for (size_t kc = 1; kc < lkeys.size() && count > 0; ++kc) {
+          count = FilterEqSel(rkeys[kc], cur, count, lkeys[kc][l], next);
+          std::swap(cur, next);
         }
-        out.num_rows += n_match;
-        n_match = 0;
-      };
-      for (size_t l = 0; l < ln; ++l) {
-        for (uint32_t batch = 0; batch < rn; batch += kVecBatchRows) {
-          uint32_t e = static_cast<uint32_t>(
-              std::min<size_t>(rn, batch + kVecBatchRows));
-          uint32_t* cur = sel_a.row;
-          uint32_t* next = sel_b.row;
-          size_t count = FilterEqDense(right_key0, batch, e, lkeys[0][l], cur);
-          for (size_t kc = 1; kc < lkeys.size() && count > 0; ++kc) {
-            count = FilterEqSel(rkeys[kc], cur, count, lkeys[kc][l], next);
-            std::swap(cur, next);
-          }
-          for (size_t t = 0; t < count; ++t) {
-            match_l[n_match] = static_cast<uint32_t>(l);
-            match_r[n_match] = cur[t];
-            if (++n_match == kVecBatchRows) flush();
-          }
-        }
-      }
-      flush();
-    } else {
-      // Tuple-at-a-time reference: compare every pair.
-      for (size_t l = 0; l < ln; ++l) {
-        for (uint32_t r = 0; r < rn; ++r) {
-          bool match = true;
-          for (size_t k = 0; k < lkeys.size(); ++k) {
-            if (lkeys[k][l] != rkeys[k][r]) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          for (size_t c = 0; c < left_width; ++c) {
-            // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-            out.cols[c].push_back(left.cols[c][l]);
-          }
-          for (size_t c = 0; c < right.cols.size(); ++c) {
-            // lint: hot-loop-growth-ok(scalar reference path, LQO_VECTORIZED=0)
-            out.cols[left_width + c].push_back(right.cols[c][r]);
-          }
-          ++out.num_rows;
+        for (size_t t = 0; t < count; ++t) {
+          matches.Add(static_cast<uint32_t>(l), cur[t]);
         }
       }
     }
+    matches.Flush();
     exec.probe_seconds = WallSeconds(probe_start);
     return exec;
   }
 
+  // A select-list column read at the sink: base column plus the carried
+  // row ids that select its rows.
+  struct RefAccess {
+    const int64_t* base = nullptr;
+    size_t base_rows = 0;
+    const uint32_t* ids = nullptr;
+  };
+
   // ---- Output stage (projection / aggregation sink). ----
   //
-  // The one place the vectorized pipeline finally touches base-table
-  // values: every select-list read gathers through the row-id columns the
-  // plan carried forward (run-detected bulk gathers / selection-vector agg
-  // kernels). The scalar reference reads the early-materialized chunk
-  // columns tuple at a time. Both emit bit-identical output columns.
+  // The one place the pipeline finally touches base-table values: every
+  // select-list read gathers through the row-id columns the plan carried
+  // forward (run-detected bulk gathers / selection-vector agg kernels).
   Status ExecuteOutput(const Chunk& root, ExecutionResult* result) {
     const std::vector<OutputExpr>& outputs = query_.outputs();
     size_t n = static_cast<size_t>(root.num_rows);
@@ -1217,42 +962,25 @@ class PlanRunner {
       }
     }
 
-    // Resolve value access per referenced column: scalar mode points into
-    // the carried chunk columns; vectorized mode pairs the base column with
-    // the carried row-id vector (the deferred gather).
-    struct RefAccess {
-      const int64_t* chunk_col = nullptr;  // scalar
-      const int64_t* base = nullptr;       // vectorized
-      size_t base_rows = 0;
-      const uint32_t* ids = nullptr;
-    };
+    // Each referenced column pairs its base column with the carried row-id
+    // vector (the deferred gather).
     std::vector<RefAccess> ref_access(refs.size());
     for (size_t i = 0; i < refs.size(); ++i) {
       RefAccess& a = ref_access[i];
-      if (vectorized_) {
-        auto col_or = BaseColumn(refs[i].first, refs[i].second);
-        if (!col_or.ok()) return col_or.status();
-        a.base = (*col_or)->data.data();
-        a.base_rows = (*col_or)->data.size();
-        int ridx = root.FindRowids(refs[i].first);
-        if (ridx < 0) {
-          return Status::Internal("output row ids missing from intermediate");
-        }
-        a.ids = root.rowids[static_cast<size_t>(ridx)].data();
-      } else {
-        int idx = root.FindColumn(refs[i].first, refs[i].second);
-        if (idx < 0) {
-          return Status::Internal("output column missing from intermediate");
-        }
-        a.chunk_col = root.cols[static_cast<size_t>(idx)].data();
+      auto col_or = BaseColumn(refs[i].first, refs[i].second);
+      if (!col_or.ok()) return col_or.status();
+      a.base = (*col_or)->data.data();
+      a.base_rows = (*col_or)->data.size();
+      int ridx = root.FindRowids(refs[i].first);
+      if (ridx < 0) {
+        return Status::Internal("output row ids missing from intermediate");
       }
+      a.ids = root.rowids[static_cast<size_t>(ridx)].data();
     }
 
     result->output_cols.assign(outputs.size(), {});
     if (query_.has_group_by()) {
-      Status s = RunGroupBy(root, outputs, ref_access, out_ref, gk_ref, n,
-                            result);
-      if (!s.ok()) return s;
+      RunGroupBy(outputs, ref_access, out_ref, gk_ref, n, result);
     } else {
       bool all_aggregate = true;
       for (const OutputExpr& e : outputs) {
@@ -1266,7 +994,7 @@ class PlanRunner {
     }
 
     // Charge the stage. Every term is structural (row counts × select-list
-    // shape), so scalar and vectorized runs charge identically.
+    // shape), independent of SIMD level and thread count.
     size_t naggs = 0;
     for (const OutputExpr& e : outputs) {
       if (e.kind == OutputExpr::Kind::kAggregate) ++naggs;
@@ -1292,90 +1020,60 @@ class PlanRunner {
     return Status::Ok();
   }
 
-  template <typename RefAccessT>
   void RunGlobalAggregates(const Chunk& root,
                            const std::vector<OutputExpr>& outputs,
-                           const std::vector<RefAccessT>& ref_access,
+                           const std::vector<RefAccess>& ref_access,
                            const std::vector<int>& out_ref, size_t n,
                            ExecutionResult* result) {
     std::vector<AggAcc> accs(outputs.size());
-    if (vectorized_) {
-      const simd::AggKernelTable& ak = simd::AggKernels();
-      for (size_t o = 0; o < outputs.size(); ++o) {
-        const OutputExpr& e = outputs[o];
-        if (!e.ReferencesColumn() || e.func == AggFunc::kCount || n == 0) {
-          continue;
-        }
-        const RefAccessT& a = ref_access[static_cast<size_t>(out_ref[o])];
-        AggAcc& acc = accs[o];
-        // Scans emit ascending row ids, so a predicate-free (or prefix)
-        // selection is a dense range: fold it with the dense kernels, no
-        // gather at all. Anything else goes through the sel kernels.
-        bool dense = root.rowids_ascending &&
-                     static_cast<uint64_t>(a.ids[n - 1]) - a.ids[0] == n - 1;
-        if (dense) {
-          uint32_t row_begin = a.ids[0];
-          uint32_t row_end = a.ids[n - 1] + 1;
-          LQO_CHECK_LE(static_cast<size_t>(row_end), a.base_rows);
-          switch (e.func) {
-            case AggFunc::kSum:
-            case AggFunc::kAvg:
-              acc.sum = ak.sum_dense(a.base, row_begin, row_end);
-              break;
-            case AggFunc::kMin:
-              acc.mn = ak.min_dense(a.base, row_begin, row_end);
-              break;
-            case AggFunc::kMax:
-              acc.mx = ak.max_dense(a.base, row_begin, row_end);
-              break;
-            case AggFunc::kCount:
-              break;
-          }
-        } else {
-          switch (e.func) {
-            case AggFunc::kSum:
-            case AggFunc::kAvg:
-              acc.sum = ak.sum_sel(a.base, a.ids, n);
-              break;
-            case AggFunc::kMin:
-              acc.mn = ak.min_sel(a.base, a.ids, n);
-              break;
-            case AggFunc::kMax:
-              acc.mx = ak.max_sel(a.base, a.ids, n);
-              break;
-            case AggFunc::kCount:
-              break;
-          }
-        }
+    const simd::AggKernelTable& ak = simd::AggKernels();
+    for (size_t o = 0; o < outputs.size(); ++o) {
+      const OutputExpr& e = outputs[o];
+      if (!e.ReferencesColumn() || e.func == AggFunc::kCount || n == 0) {
+        continue;
       }
-    } else {
-      // Tuple-at-a-time reference: one pass over the carried columns.
-      for (size_t row = 0; row < n; ++row) {
-        for (size_t o = 0; o < outputs.size(); ++o) {
-          const OutputExpr& e = outputs[o];
-          if (!e.ReferencesColumn() || e.func == AggFunc::kCount) continue;
-          int64_t v =
-              ref_access[static_cast<size_t>(out_ref[o])].chunk_col[row];
-          AggAcc& a = accs[o];
-          switch (e.func) {
-            case AggFunc::kSum:
-            case AggFunc::kAvg:
-              a.sum += static_cast<uint64_t>(v);
-              break;
-            case AggFunc::kMin:
-              a.mn = v < a.mn ? v : a.mn;
-              break;
-            case AggFunc::kMax:
-              a.mx = v > a.mx ? v : a.mx;
-              break;
-            case AggFunc::kCount:
-              break;
-          }
+      const RefAccess& a = ref_access[static_cast<size_t>(out_ref[o])];
+      AggAcc& acc = accs[o];
+      // Scans emit ascending row ids, so a predicate-free (or prefix)
+      // selection is a dense range: fold it with the dense kernels, no
+      // gather at all. Anything else goes through the sel kernels.
+      bool dense = root.rowids_ascending &&
+                   static_cast<uint64_t>(a.ids[n - 1]) - a.ids[0] == n - 1;
+      if (dense) {
+        uint32_t row_begin = a.ids[0];
+        uint32_t row_end = a.ids[n - 1] + 1;
+        LQO_CHECK_LE(static_cast<size_t>(row_end), a.base_rows);
+        switch (e.func) {
+          case AggFunc::kSum:
+          case AggFunc::kAvg:
+            acc.sum = ak.sum_dense(a.base, row_begin, row_end);
+            break;
+          case AggFunc::kMin:
+            acc.mn = ak.min_dense(a.base, row_begin, row_end);
+            break;
+          case AggFunc::kMax:
+            acc.mx = ak.max_dense(a.base, row_begin, row_end);
+            break;
+          case AggFunc::kCount:
+            break;
+        }
+      } else {
+        switch (e.func) {
+          case AggFunc::kSum:
+          case AggFunc::kAvg:
+            acc.sum = ak.sum_sel(a.base, a.ids, n);
+            break;
+          case AggFunc::kMin:
+            acc.mn = ak.min_sel(a.base, a.ids, n);
+            break;
+          case AggFunc::kMax:
+            acc.mx = ak.max_sel(a.base, a.ids, n);
+            break;
+          case AggFunc::kCount:
+            break;
         }
       }
     }
-    // Shared finalize — the only place accumulator state becomes output, so
-    // path equality reduces to the kernel bit-equality contract.
     for (size_t o = 0; o < outputs.size(); ++o) {
       result->output_cols[o] = {FinalizeAgg(outputs[o].func, accs[o],
                                             static_cast<uint64_t>(n))};
@@ -1383,186 +1081,124 @@ class PlanRunner {
     result->output_row_count = 1;
   }
 
-  template <typename RefAccessT>
   void RunProjection(const std::vector<OutputExpr>& outputs,
-                     const std::vector<RefAccessT>& ref_access,
+                     const std::vector<RefAccess>& ref_access,
                      const std::vector<int>& out_ref, size_t n,
                      ExecutionResult* result) {
     for (size_t o = 0; o < outputs.size(); ++o) {
-      const RefAccessT& a = ref_access[static_cast<size_t>(out_ref[o])];
+      const RefAccess& a = ref_access[static_cast<size_t>(out_ref[o])];
       std::vector<int64_t>& col = result->output_cols[o];
-      if (vectorized_) {
-        col.reserve(n);
-        GatherAppendRuns(a.base, a.base_rows, a.ids, n, &col);
-      } else {
-        col.reserve(n);
-        for (size_t row = 0; row < n; ++row) {
-          // lint: hot-loop-growth-ok(scalar reference path, not the hot kernel)
-          col.push_back(a.chunk_col[row]);
-        }
-      }
+      col.reserve(n);
+      GatherAppendRuns(a.base, a.base_rows, a.ids, n, &col);
     }
     result->output_row_count = n;
   }
 
-  template <typename RefAccessT>
-  Status RunGroupBy(const Chunk& /*root*/,
-                    const std::vector<OutputExpr>& outputs,
-                    const std::vector<RefAccessT>& ref_access,
-                    const std::vector<int>& out_ref, int gk_ref, size_t n,
-                    ExecutionResult* result) {
-    // Both paths produce: group keys in first-seen row order, per-group row
-    // counts, and per-(output, group) accumulators.
+  void RunGroupBy(const std::vector<OutputExpr>& outputs,
+                  const std::vector<RefAccess>& ref_access,
+                  const std::vector<int>& out_ref, int gk_ref, size_t n,
+                  ExecutionResult* result) {
+    // Group keys in first-seen row order, per-group row counts, and
+    // per-(output, group) accumulators.
     std::vector<int64_t> gkeys;
     std::vector<uint64_t> gcounts;
     std::vector<std::vector<AggAcc>> gaccs(outputs.size());
-    const RefAccessT& gk = ref_access[static_cast<size_t>(gk_ref)];
+    const RefAccess& gk = ref_access[static_cast<size_t>(gk_ref)];
 
-    if (vectorized_) {
-      // Map every row to a dense first-seen group id. Two key paths, both
-      // reproducing the scalar reference's first-seen insertion order
-      // bit-for-bit (the choice depends only on the key values, never on
-      // thread count, SIMD level or path):
-      //   - dense key domain (max-min fits a small direct table, measured
-      //     with the dispatched min/max kernels): one direct-indexed pass,
-      //     no hashing at all;
-      //   - general: gather the key column once (run-detected bulk copy),
-      //     hash it with the dispatched join-hash kernels, probe the
-      //     open-addressing GroupIndex.
-      std::vector<uint32_t> gids(n);
-      if (n > 0) {
-        const simd::AggKernelTable& ak = simd::AggKernels();
-        int64_t kmin = ak.min_sel(gk.base, gk.ids, n);
-        int64_t kmax = ak.max_sel(gk.base, gk.ids, n);
-        uint64_t domain =
-            static_cast<uint64_t>(kmax) - static_cast<uint64_t>(kmin);
-        // Direct-table cap: generous relative to the row count but bounded
-        // so the table stays cache-resident.
-        if (domain < 2 * static_cast<uint64_t>(n) + 1024 &&
-            domain < (1u << 20)) {
-          std::vector<uint32_t> slot(static_cast<size_t>(domain) + 1,
-                                     UINT32_MAX);
-          gkeys.reserve(std::min<size_t>(n, static_cast<size_t>(domain) + 1));
-          for (size_t i = 0; i < n; ++i) {
-            int64_t kv = gk.base[gk.ids[i]];
-            size_t s = static_cast<size_t>(static_cast<uint64_t>(kv) -
-                                           static_cast<uint64_t>(kmin));
-            uint32_t g = slot[s];
-            if (g == UINT32_MAX) {
-              g = static_cast<uint32_t>(gkeys.size());
-              slot[s] = g;
-              // lint: hot-loop-growth-ok(reserved above; grows once per new group)
-              gkeys.push_back(kv);
-            }
-            gids[i] = g;
-          }
-        } else {
-          std::vector<int64_t> keys;
-          keys.reserve(n);
-          GatherAppendRuns(gk.base, gk.base_rows, gk.ids, n, &keys);
-          std::vector<uint64_t> hashes(n);
-          const simd::KernelTable& kt = simd::Kernels();
-          ParallelFor(HashMorsels(n), [&](size_t m) {
-            auto [begin, end] = MorselRange(m, n);
-            for (size_t r = begin; r < end; ++r) hashes[r] = 0;
-            kt.hash_combine_column(hashes.data(), keys.data(), begin, end);
-            kt.hash_finalize(hashes.data(), begin, end);
-          });
-          simd::GroupIndex gindex;
-          gindex.MapBatch(keys.data(), hashes.data(), n, gids.data());
-          gkeys = gindex.group_keys();
-        }
-      }
-      gcounts.assign(gkeys.size(), 0);
-      for (size_t i = 0; i < n; ++i) ++gcounts[gids[i]];
-      // One scatter-accumulate pass per *distinct* referenced column,
-      // reading base values straight through the carried row ids (no
-      // intermediate gather) and folding every aggregate kind that reads
-      // the column in the same pass — SUM and AVG share the wrapping sum.
-      for (size_t r = 0; r < ref_access.size(); ++r) {
-        bool want_sum = false;
-        bool want_min = false;
-        bool want_max = false;
-        for (size_t o = 0; o < outputs.size(); ++o) {
-          const OutputExpr& e = outputs[o];
-          if (e.kind != OutputExpr::Kind::kAggregate ||
-              !e.ReferencesColumn() || e.func == AggFunc::kCount ||
-              out_ref[o] != static_cast<int>(r)) {
-            continue;
-          }
-          want_sum |= e.func == AggFunc::kSum || e.func == AggFunc::kAvg;
-          want_min |= e.func == AggFunc::kMin;
-          want_max |= e.func == AggFunc::kMax;
-        }
-        if (!want_sum && !want_min && !want_max) continue;
-        const RefAccessT& a = ref_access[r];
-        std::vector<AggAcc> acc(gkeys.size(), AggAcc{});
-        const int64_t* base = a.base;
-        const uint32_t* ids = a.ids;
+    // Map every row to a dense first-seen group id. Two key paths with the
+    // same first-seen assignment (the choice depends only on the key
+    // values, never on thread count or SIMD level):
+    //   - dense key domain (max-min fits a small direct table, measured
+    //     with the dispatched min/max kernels): one direct-indexed pass,
+    //     no hashing at all;
+    //   - general: gather the key column once (run-detected bulk copy),
+    //     hash it with the dispatched join-hash kernels, probe the
+    //     open-addressing GroupIndex.
+    std::vector<uint32_t> gids(n);
+    if (n > 0) {
+      const simd::AggKernelTable& ak = simd::AggKernels();
+      int64_t kmin = ak.min_sel(gk.base, gk.ids, n);
+      int64_t kmax = ak.max_sel(gk.base, gk.ids, n);
+      uint64_t domain =
+          static_cast<uint64_t>(kmax) - static_cast<uint64_t>(kmin);
+      // Direct-table cap: generous relative to the row count but bounded
+      // so the table stays cache-resident.
+      if (domain < 2 * static_cast<uint64_t>(n) + 1024 &&
+          domain < (1u << 20)) {
+        std::vector<uint32_t> slot(static_cast<size_t>(domain) + 1,
+                                   UINT32_MAX);
+        gkeys.reserve(std::min<size_t>(n, static_cast<size_t>(domain) + 1));
         for (size_t i = 0; i < n; ++i) {
-          int64_t v = base[ids[i]];
-          AggAcc& g = acc[gids[i]];
-          if (want_sum) g.sum += static_cast<uint64_t>(v);
-          if (want_min) g.mn = v < g.mn ? v : g.mn;
-          if (want_max) g.mx = v > g.mx ? v : g.mx;
-        }
-        for (size_t o = 0; o < outputs.size(); ++o) {
-          const OutputExpr& e = outputs[o];
-          if (e.kind == OutputExpr::Kind::kAggregate && e.ReferencesColumn() &&
-              e.func != AggFunc::kCount && out_ref[o] == static_cast<int>(r)) {
-            gaccs[o] = acc;
+          int64_t kv = gk.base[gk.ids[i]];
+          size_t s = static_cast<size_t>(static_cast<uint64_t>(kv) -
+                                         static_cast<uint64_t>(kmin));
+          uint32_t g = slot[s];
+          if (g == UINT32_MAX) {
+            g = static_cast<uint32_t>(gkeys.size());
+            slot[s] = g;
+            gkeys.push_back(kv);
           }
+          gids[i] = g;
         }
+      } else {
+        std::vector<int64_t> keys;
+        keys.reserve(n);
+        GatherAppendRuns(gk.base, gk.base_rows, gk.ids, n, &keys);
+        std::vector<uint64_t> hashes(n);
+        const simd::KernelTable& kt = simd::Kernels();
+        ParallelFor(HashMorsels(n), [&](size_t m) {
+          auto [begin, end] = MorselRange(m, n);
+          for (size_t r = begin; r < end; ++r) hashes[r] = 0;
+          kt.hash_combine_column(hashes.data(), keys.data(), begin, end);
+          kt.hash_finalize(hashes.data(), begin, end);
+        });
+        simd::GroupIndex gindex;
+        gindex.MapBatch(keys.data(), hashes.data(), n, gids.data());
+        gkeys = gindex.group_keys();
       }
-    } else {
-      // Tuple-at-a-time reference: unordered_map lookups only (never
-      // iterated), first-seen dense group ids, per-row accumulator updates.
-      std::unordered_map<int64_t, uint32_t> gid_of;
-      const int64_t* keyv = gk.chunk_col;
-      for (size_t row = 0; row < n; ++row) {
-        int64_t kv = keyv[row];
-        auto [it, inserted] =
-            gid_of.try_emplace(kv, static_cast<uint32_t>(gkeys.size()));
-        uint32_t g = it->second;
-        if (inserted) {
-          // lint: hot-loop-growth-ok(scalar reference path: grows once per new group)
-          gkeys.push_back(kv);
-          // lint: hot-loop-growth-ok(scalar reference path: grows once per new group)
-          gcounts.push_back(0);
-          for (size_t o = 0; o < outputs.size(); ++o) {
-            // lint: hot-loop-growth-ok(scalar reference path: grows once per new group)
-            gaccs[o].push_back(AggAcc{});
-          }
+    }
+    gcounts.assign(gkeys.size(), 0);
+    for (size_t i = 0; i < n; ++i) ++gcounts[gids[i]];
+    // One scatter-accumulate pass per *distinct* referenced column, reading
+    // base values straight through the carried row ids (no intermediate
+    // gather) and folding every aggregate kind that reads the column in the
+    // same pass — SUM and AVG share the wrapping sum.
+    for (size_t r = 0; r < ref_access.size(); ++r) {
+      bool want_sum = false;
+      bool want_min = false;
+      bool want_max = false;
+      for (size_t o = 0; o < outputs.size(); ++o) {
+        const OutputExpr& e = outputs[o];
+        if (e.kind != OutputExpr::Kind::kAggregate || !e.ReferencesColumn() ||
+            e.func == AggFunc::kCount || out_ref[o] != static_cast<int>(r)) {
+          continue;
         }
-        ++gcounts[g];
-        for (size_t o = 0; o < outputs.size(); ++o) {
-          const OutputExpr& e = outputs[o];
-          if (e.kind != OutputExpr::Kind::kAggregate ||
-              !e.ReferencesColumn() || e.func == AggFunc::kCount) {
-            continue;
-          }
-          int64_t v =
-              ref_access[static_cast<size_t>(out_ref[o])].chunk_col[row];
-          AggAcc& a = gaccs[o][g];
-          switch (e.func) {
-            case AggFunc::kSum:
-            case AggFunc::kAvg:
-              a.sum += static_cast<uint64_t>(v);
-              break;
-            case AggFunc::kMin:
-              a.mn = v < a.mn ? v : a.mn;
-              break;
-            case AggFunc::kMax:
-              a.mx = v > a.mx ? v : a.mx;
-              break;
-            case AggFunc::kCount:
-              break;
-          }
+        want_sum |= e.func == AggFunc::kSum || e.func == AggFunc::kAvg;
+        want_min |= e.func == AggFunc::kMin;
+        want_max |= e.func == AggFunc::kMax;
+      }
+      if (!want_sum && !want_min && !want_max) continue;
+      const RefAccess& a = ref_access[r];
+      std::vector<AggAcc> acc(gkeys.size(), AggAcc{});
+      const int64_t* base = a.base;
+      const uint32_t* ids = a.ids;
+      for (size_t i = 0; i < n; ++i) {
+        int64_t v = base[ids[i]];
+        AggAcc& g = acc[gids[i]];
+        if (want_sum) g.sum += static_cast<uint64_t>(v);
+        if (want_min) g.mn = v < g.mn ? v : g.mn;
+        if (want_max) g.mx = v > g.mx ? v : g.mx;
+      }
+      for (size_t o = 0; o < outputs.size(); ++o) {
+        const OutputExpr& e = outputs[o];
+        if (e.kind == OutputExpr::Kind::kAggregate && e.ReferencesColumn() &&
+            e.func != AggFunc::kCount && out_ref[o] == static_cast<int>(r)) {
+          gaccs[o] = acc;
         }
       }
     }
 
-    // Shared emission in group-id (= first-seen) order.
+    // Emission in group-id (= first-seen) order.
     size_t num_groups = gkeys.size();
     for (size_t o = 0; o < outputs.size(); ++o) {
       const OutputExpr& e = outputs[o];
@@ -1578,12 +1214,12 @@ class PlanRunner {
       }
     }
     result->output_row_count = num_groups;
-    return Status::Ok();
   }
 
-  // Converts accumulator state + row count to the emitted int64. Empty
-  // inputs (count == 0, global aggregates over zero qualifying rows) emit
-  // 0 for every function; AVG is the truncated integer quotient.
+  // Converts accumulator state + row count to the emitted int64 under the
+  // AggFunc contract (query/query.h): SUM wraps modulo 2^64, AVG is the
+  // truncated quotient of the wrapped sum, and empty inputs (count == 0)
+  // emit 0 for every function.
   static int64_t FinalizeAgg(AggFunc func, const AggAcc& acc, uint64_t count) {
     switch (func) {
       case AggFunc::kCount:
@@ -1618,16 +1254,13 @@ class PlanRunner {
   const Catalog& catalog_;
   const CostConstants& constants_;
   const Query& query_;
-  const bool vectorized_;
   std::vector<NodeProfile> profiles_;
 };
 
 }  // namespace
 
 Executor::Executor(const Catalog* catalog, CostConstants constants)
-    : catalog_(catalog),
-      constants_(constants),
-      vectorized_(DefaultVectorized()) {
+    : catalog_(catalog), constants_(constants) {
   LQO_CHECK(catalog_ != nullptr);
 }
 
@@ -1635,7 +1268,7 @@ StatusOr<ExecutionResult> Executor::Execute(const PhysicalPlan& plan) const {
   if (plan.query == nullptr || plan.root == nullptr) {
     return Status::InvalidArgument("plan missing query or root");
   }
-  PlanRunner runner(*catalog_, constants_, *plan.query, vectorized_);
+  PlanRunner runner(*catalog_, constants_, *plan.query);
   return runner.Run(*plan.root);
 }
 

@@ -41,10 +41,10 @@ struct NodeProfile {
 
   /// Late-materialization accounting. Logical counters, defined by plan
   /// structure and row counts alone (like time_units), so they are
-  /// bit-identical across scalar/vectorized paths, SIMD levels and thread
-  /// counts: carried_columns is the number of per-table row-id columns the
-  /// late-materialized pipeline carries out of this node (0 at a COUNT(*)
-  /// root — nothing is ever materialized); materialized_values is
+  /// bit-identical across SIMD levels and thread counts: carried_columns
+  /// is the number of per-table row-id columns the late-materialized
+  /// pipeline carries out of this node (0 at a COUNT(*) root — nothing is
+  /// ever materialized); materialized_values is
   /// output_rows * carried_columns for scans/joins, and emitted output
   /// values (output rows * select-list width) for the output stage.
   uint64_t carried_columns = 0;
@@ -75,7 +75,8 @@ struct ExecutionResult {
   std::vector<NodeProfile> node_profiles;
 };
 
-/// Volcano-style executor over the in-memory catalog.
+/// Vectorized, late-materialized executor over the in-memory catalog — the
+/// one execution path.
 ///
 /// Each join node is *charged* according to its declared physical algorithm,
 /// but the physical strategy that computes its rows is gated on input size:
@@ -97,40 +98,37 @@ struct ExecutionResult {
 /// table, and concatenate partition outputs in partition order. Inputs
 /// below a fixed tuple threshold run the identical code serially with one
 /// partition/morsel. All boundaries depend only on the input, so results
-/// are bit-for-bit identical across LQO_THREADS settings (DESIGN.md
-/// "Concurrency model").
+/// are bit-for-bit identical across LQO_THREADS settings and SIMD levels
+/// (DESIGN.md "Concurrency model", "Vectorized execution").
 ///
-/// Within each morsel, rows flow batch-at-a-time by default: scans run
-/// branch-free selection-vector kernels (engine/filter_kernels.h) over
-/// kVecBatchRows-row batches and materialize survivors with bulk column
-/// gathers; joins hash key columns column-wise and buffer probe matches for
-/// bulk materialization. Setting env LQO_VECTORIZED=0 flips the process
-/// default to the tuple-at-a-time reference path; both paths share every
-/// morsel/partition boundary and emit rows in the same order, so
-/// ExecutionResult (row_count, time_units, NodeProfile counters) is
-/// bit-for-bit identical between them (DESIGN.md "Vectorized execution").
+/// Within each morsel, rows flow batch-at-a-time: scans run branch-free
+/// selection-vector kernels (engine/filter_kernels.h) over kVecBatchRows-row
+/// batches, and only per-table row ids flow between operators. Joins gather
+/// their key columns on demand through those row ids and hash them
+/// column-wise; the output stage gathers select-list values at the very end
+/// (DESIGN.md "Late materialization & output pipeline"). Correctness is
+/// checked against an independent naive evaluator in the tests
+/// (tests/naive_exec_oracle.h), not against a second engine path.
+///
+/// Execute() first checks the plan's shape — scan indices inside the query,
+/// non-null join children over disjoint inputs, and table sets that match
+/// their scan bit or the union of their children — and returns
+/// InvalidArgument instead of running a malformed tree.
 class Executor {
  public:
   explicit Executor(const Catalog* catalog,
                     CostConstants constants = DefaultCostConstants());
 
   /// Executes `plan` and returns the count plus the work profile. Fails if
-  /// the plan references unknown tables/columns.
+  /// the plan is malformed or references unknown tables/columns.
   StatusOr<ExecutionResult> Execute(const PhysicalPlan& plan) const;
 
   const CostConstants& constants() const { return constants_; }
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Batch-at-a-time execution toggle. Defaults from env LQO_VECTORIZED at
-  /// construction ("0" = scalar reference path); the setter exists for
-  /// scalar-vs-vectorized A/B in tests and benches.
-  bool vectorized() const { return vectorized_; }
-  void set_vectorized(bool v) { vectorized_ = v; }
-
  private:
   const Catalog* catalog_;
   CostConstants constants_;
-  bool vectorized_ = true;
 };
 
 /// Builds a left-deep plan over the connected table set `tables` of `query`

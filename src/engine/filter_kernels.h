@@ -12,13 +12,14 @@ namespace lqo {
 /// selection-vector stage of the vectorized executor (DESIGN.md "Vectorized
 /// execution").
 ///
-/// Survivors always come out in ascending row order, which is what makes
-/// vectorized output bit-identical to the tuple-at-a-time loop. `Dense`
-/// variants scan the contiguous row range [row_begin, row_end); `Sel`
-/// variants refine an existing selection vector. All return the number of
-/// surviving rows written to `out_sel`, whose capacity must cover the input
-/// count. Selection semantics match Predicate::Matches exactly (inclusive
-/// ranges, sorted-unique IN lists).
+/// The reference semantics is per-row Predicate::Matches (inclusive ranges,
+/// sorted-unique IN lists): a kernel keeps exactly the rows Matches accepts,
+/// and survivors always come out in ascending row order, so a scan emits its
+/// qualifying rows in base-row order — what the naive test oracle
+/// (tests/naive_exec_oracle.h) computes with Matches. `Dense` variants scan
+/// the contiguous row range [row_begin, row_end); `Sel` variants refine an
+/// existing selection vector. All return the number of surviving rows
+/// written to `out_sel`, whose capacity must cover the input count.
 ///
 /// Since the SIMD dispatch layer landed, these entry points forward to the
 /// active engine/simd.h kernel table: on a CPU with SSE4.2/AVX2 (or under

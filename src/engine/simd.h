@@ -115,8 +115,8 @@ const KernelTable& Kernels();
 /// level returns the scalar table.
 const KernelTable& KernelsFor(Level level);
 
-// -- Scalar hash steps (definitional reference, shared with the executor's
-//    row-at-a-time path). --
+// -- Scalar hash steps (the definitional reference the scalar kernel level
+//    is built from; every SIMD level reproduces them bit for bit). --
 
 /// FNV-ish mix; good enough for join bucketing (equality is verified).
 inline uint64_t HashCombine(uint64_t h, int64_t v) {

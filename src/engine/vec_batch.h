@@ -19,9 +19,10 @@ namespace lqo {
 /// consume one selection vector and produce the next without branching on
 /// the predicate outcome; materialization gathers surviving rows
 /// column-by-column in bulk. Because selection vectors are always ascending
-/// and batches are walked in row order, the vectorized pipeline emits rows
-/// in exactly the order the tuple-at-a-time loop does — the basis of the
-/// scalar/vectorized bit-equality contract.
+/// and batches are walked in row order, a scan emits exactly the rows
+/// Predicate::Matches accepts, in base-row order — the order the naive test
+/// oracle (tests/naive_exec_oracle.h) produces, which pins scan output row
+/// for row.
 constexpr size_t kVecBatchRows = 1024;
 
 /// Fixed-capacity selection vector: ascending absolute row ids plus a

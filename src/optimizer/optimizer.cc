@@ -60,25 +60,29 @@ int NumPredicatesOf(const Query& query, int table_index) {
 // grown set and recurses on it with the whole neighbourhood excluded
 // (EnumerateCsgRec of Moerkotte & Neumann, VLDB'06). Every connected subset
 // of `within` that strictly contains `set` and avoids `excluded` is emitted
-// exactly once.
+// exactly once, unless emit() returns false: the walk then stops and
+// returns false.
 template <typename Emit>
-void ExpandConnected(const std::vector<TableSet>& adjacency, TableSet within,
+bool ExpandConnected(const std::vector<TableSet>& adjacency, TableSet within,
                      TableSet set, TableSet excluded, const Emit& emit) {
   TableSet neighbourhood = 0;
   for (TableSet rest = set; rest != 0; rest &= rest - 1) {
     neighbourhood |= adjacency[static_cast<size_t>(__builtin_ctzll(rest))];
   }
   neighbourhood &= within & ~excluded & ~set;
-  if (neighbourhood == 0) return;
+  if (neighbourhood == 0) return true;
   for (TableSet grow = neighbourhood; grow != 0;
        grow = (grow - 1) & neighbourhood) {
-    emit(set | grow);
+    if (!emit(set | grow)) return false;
   }
   for (TableSet grow = neighbourhood; grow != 0;
        grow = (grow - 1) & neighbourhood) {
-    ExpandConnected(adjacency, within, set | grow, excluded | neighbourhood,
-                    emit);
+    if (!ExpandConnected(adjacency, within, set | grow,
+                         excluded | neighbourhood, emit)) {
+      return false;
+    }
   }
+  return true;
 }
 
 // DPccp: dynamic programming over the connected subgraphs (csgs) of the join
@@ -103,19 +107,32 @@ class DpccpPlanner {
     }
   }
 
+  // Lists every csg, sorted ascending: each proper subset of a csg
+  // precedes it, and the estimator sees the same subsets in the same order
+  // as a walk over all 2^n subsets would show it. Returns false, before any
+  // estimator call, once the join graph has more than kMaxCsgs csgs.
+  bool EnumerateCsgs() {
+    int n = query_.num_tables();
+    TableSet all = query_.AllTables();
+    auto add = [&](TableSet s) {
+      csgs_.push_back(s);
+      return csgs_.size() <= kMaxCsgs;
+    };
+    for (int t = n - 1; t >= 0; --t) {
+      TableSet start = TableBit(t);
+      if (!add(start) ||
+          !ExpandConnected(adjacency_, all, start, start | (start - 1), add)) {
+        return false;
+      }
+    }
+    std::sort(csgs_.begin(), csgs_.end());
+    return true;
+  }
+
+  // Plans the query over the csgs EnumerateCsgs() listed.
   PlannerResult Plan(CardinalityProvider* cards) {
     int n = query_.num_tables();
     TableSet all = query_.AllTables();
-    // Every csg, sorted ascending: each proper subset of a csg precedes it,
-    // and the estimator sees the same subsets in the same order as a walk
-    // over all 2^n subsets would show it.
-    for (int t = n - 1; t >= 0; --t) {
-      TableSet start = TableBit(t);
-      csgs_.push_back(start);
-      ExpandConnected(adjacency_, all, start, start | (start - 1),
-                      [&](TableSet s) { csgs_.push_back(s); });
-    }
-    std::sort(csgs_.begin(), csgs_.end());
     memo_.resize(csgs_.size());
     BuildIndex();
 
@@ -142,12 +159,13 @@ class DpccpPlanner {
         // table; both orientations are costed.
         TableSet lowest = s & (~s + 1);
         auto split = [&](TableSet left) {
-          if (left == s) return;
+          if (left == s) return true;
           size_t right_index = IndexOf(s & ~left);
-          if (right_index == kNotConnected) return;
+          if (right_index == kNotConnected) return true;
           size_t left_index = IndexOf(left);
           result.combinations_evaluated += TryJoin(i, left_index, right_index);
           result.combinations_evaluated += TryJoin(i, right_index, left_index);
+          return true;
         };
         split(lowest);
         ExpandConnected(adjacency_, s, lowest, lowest, split);
@@ -171,6 +189,11 @@ class DpccpPlanner {
   }
 
  private:
+  // Csg budget of the exhaustive DP. Chains of n tables have n(n+1)/2 csgs
+  // and the 8-table stars and 6-table cliques of the planner tests a few
+  // hundred, but a star of n tables has 2^(n-1) + n - 1: 65536 csgs is
+  // passed by a 17-table star or clique, which is planned greedily instead.
+  static constexpr size_t kMaxCsgs = size_t{1} << 16;
   static constexpr size_t kNotConnected = ~size_t{0};
 
   // Cheapest plan found so far for one csg. A join records its left input
@@ -281,6 +304,11 @@ PlannerResult Optimizer::Optimize(const Query& query,
   }
   DpccpPlanner planner(query, *stats_, AsAnalytical(*cost_model_),
                        hints.AllowedAlgorithms(), options_.bushy);
+  if (!planner.EnumerateCsgs()) {
+    PlannerResult result = OptimizeGreedy(query, cards, hints);
+    result.greedy_fallback = true;
+    return result;
+  }
   return planner.Plan(cards);
 }
 

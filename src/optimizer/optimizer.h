@@ -34,6 +34,9 @@ struct PlannerResult {
   /// (L, R, algorithm) combinations costed — the deterministic proxy for
   /// planning time used by the join-order benchmarks.
   uint64_t combinations_evaluated = 0;
+  /// True when Optimize() found too many connected subgraphs for the
+  /// exhaustive DP (e.g. a wide star) and returned OptimizeGreedy()'s plan.
+  bool greedy_fallback = false;
 };
 
 struct OptimizerOptions {
@@ -59,7 +62,10 @@ class Optimizer {
 
   /// Exhaustive DP plan (optimal under the cost model and cardinalities).
   /// With hints.leading non-empty, falls back to the forced-prefix
-  /// construction instead of DP.
+  /// construction instead of DP. A join graph with more connected subgraphs
+  /// than the DP's fixed budget (a 17-table star or clique reaches it) is
+  /// planned by OptimizeGreedy() instead, flagged by
+  /// PlannerResult::greedy_fallback.
   PlannerResult Optimize(const Query& query, CardinalityProvider* cards,
                          const HintSet& hints = HintSet()) const;
 

@@ -39,8 +39,11 @@ struct QueryJoin {
   }
 };
 
-/// Aggregate functions of the output stage (int64 columns; AVG is the
-/// truncated integer quotient SUM/COUNT).
+/// Aggregate functions of the output stage over int64 columns. SUM wraps
+/// modulo 2^64 (two's complement, so overflow is defined and independent of
+/// summation order); AVG is the truncated quotient of that wrapped sum by
+/// the row count; over an empty input every function, COUNT included,
+/// yields 0.
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
 const char* AggFuncName(AggFunc func);

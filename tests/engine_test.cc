@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -14,6 +15,7 @@
 #include "engine/explain.h"
 #include "engine/true_cardinality.h"
 #include "engine/vec_batch.h"
+#include "naive_exec_oracle.h"
 #include "query/workload.h"
 #include "storage/datasets.h"
 
@@ -201,6 +203,74 @@ TEST(ExecutorTest, RejectsEmptyPlan) {
   EXPECT_FALSE(executor.Execute(plan).ok());
 }
 
+// Plans also come from learned producers, hints and PilotScope drivers, so
+// Execute checks a plan's shape before running it.
+TEST(ExecutorTest, RejectsScanIndexOutsideQuery) {
+  Catalog catalog = MakeToyCatalog();
+  Executor executor(&catalog);
+  Query q = MakeJoinQuery();
+  PhysicalPlan plan;
+  plan.query = &q;
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(2));  // q has tables 0 and 1
+  auto result = executor.Execute(plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  plan.root = MakeScanNode(0);
+  plan.root->table_index = -1;
+  EXPECT_EQ(executor.Execute(plan).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ExecutorTest, RejectsNullJoinChild) {
+  Catalog catalog = MakeToyCatalog();
+  Executor executor(&catalog);
+  Query q = MakeJoinQuery();
+  PhysicalPlan plan;
+  plan.query = &q;
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(1));
+  plan.root->right.reset();
+  EXPECT_EQ(executor.Execute(plan).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ExecutorTest, RejectsOverlappingJoinInputs) {
+  Catalog catalog = MakeToyCatalog();
+  Executor executor(&catalog);
+  Query q = MakeJoinQuery();
+  PhysicalPlan plan;
+  plan.query = &q;
+  // MakeJoinNode refuses overlapping inputs, so graft the overlap on after:
+  // t0 joined with (t0 join t1), whose union is still the root's set.
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(1));
+  plan.root->right = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                                  MakeScanNode(1));
+  EXPECT_EQ(executor.Execute(plan).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ExecutorTest, RejectsTableSetInconsistentWithChildren) {
+  Catalog catalog = MakeToyCatalog();
+  Executor executor(&catalog);
+  Query q = MakeJoinQuery();
+  PhysicalPlan plan;
+  plan.query = &q;
+  // A scan whose table_set is not its own table bit.
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(1));
+  plan.root->right->table_set = TableBit(0);
+  EXPECT_EQ(executor.Execute(plan).status().code(),
+            StatusCode::kInvalidArgument);
+  // A join whose table_set is not the union of its inputs.
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(1));
+  plan.root->table_set = TableBit(0);
+  EXPECT_EQ(executor.Execute(plan).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(MakeLeftDeepPlanTest, CoversAllTablesConnected) {
   DatasetOptions options;
   options.scale = 0.05;
@@ -262,8 +332,9 @@ TEST(ExplainAnalyzeTest, RendersEstimatesActualsAndFlagsErrors) {
   EXPECT_NE(text.find("partitions=1"), std::string::npos) << text;
 }
 
-// --- Vectorized execution: kernels, edge cases, scalar/vectorized and
-// thread-count bit-equality (DESIGN.md "Vectorized execution"). ------------
+// --- Vectorized execution: kernels, edge cases, SIMD-level and
+// thread-count bit-equality, and agreement with the naive oracle of
+// tests/naive_exec_oracle.h (DESIGN.md "Vectorized execution"). -----------
 
 // Full ExecutionResult equality, excluding the wall-clock *_seconds
 // diagnostics — the only fields outside the determinism contract.
@@ -294,6 +365,108 @@ void ExpectResultsBitIdentical(const ExecutionResult& a,
     EXPECT_EQ(p.materialized_values, q.materialized_values) << "node " << i;
     EXPECT_EQ(p.groups, q.groups) << "node " << i;
   }
+}
+
+// Checks `got` (the engine's result for `plan`) against the naive oracle:
+// row_count and output_row_count; every node's output_rows, and its
+// left_rows/right_rows, recomputed from the node's table_set; groups on the
+// output node; and the output values. Output rows must match in exact order
+// for scan-rooted plans (base-row order, GROUP BY in first-seen order) and
+// for global aggregates, and as sorted multisets over joins.
+void ExpectMatchesOracle(const Catalog& catalog, const PhysicalPlan& plan,
+                         const ExecutionResult& got) {
+  const Query& query = *plan.query;
+  oracle::NaiveEvaluator naive(catalog, query);
+  const PlanNode& root = *plan.root;
+  EXPECT_EQ(got.row_count, naive.Evaluate(root.table_set).size());
+  std::vector<const PlanNode*> nodes;
+  VisitPlanBottomUp(root, [&](const PlanNode& n) { nodes.push_back(&n); });
+  ASSERT_EQ(got.node_profiles.size(),
+            nodes.size() + (query.HasOutputStage() ? 1 : 0));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const PlanNode& node = *nodes[i];
+    const NodeProfile& p = got.node_profiles[i];
+    EXPECT_EQ(p.output_rows, naive.Evaluate(node.table_set).size())
+        << "node " << i;
+    if (node.kind == PlanNode::Kind::kScan) {
+      EXPECT_EQ(p.left_rows, naive.BaseRows(node.table_index)) << "node " << i;
+    } else {
+      EXPECT_EQ(p.left_rows, naive.Evaluate(node.left->table_set).size())
+          << "node " << i;
+      EXPECT_EQ(p.right_rows, naive.Evaluate(node.right->table_set).size())
+          << "node " << i;
+    }
+  }
+  if (!query.HasOutputStage()) {
+    EXPECT_EQ(got.output_row_count, 0u);
+    EXPECT_TRUE(got.output_cols.empty());
+    return;
+  }
+  std::vector<std::vector<int64_t>> want = naive.Output(root.table_set);
+  EXPECT_EQ(got.output_row_count, want.size());
+  EXPECT_EQ(got.node_profiles.back().groups,
+            query.has_group_by() ? want.size() : 0u);
+  ASSERT_EQ(got.output_cols.size(), query.outputs().size());
+  std::vector<std::vector<int64_t>> rows(got.output_row_count);
+  for (const std::vector<int64_t>& col : got.output_cols) {
+    ASSERT_EQ(col.size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) rows[r].push_back(col[r]);
+  }
+  bool global_aggregate = !query.has_group_by() &&
+                          query.outputs()[0].kind ==
+                              OutputExpr::Kind::kAggregate;
+  if (root.kind != PlanNode::Kind::kScan && !global_aggregate) {
+    std::sort(rows.begin(), rows.end());
+    std::sort(want.begin(), want.end());
+  }
+  EXPECT_EQ(rows, want);
+}
+
+// Restores the active SIMD level on scope exit so tests compose.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(simd::Level level)
+      : previous_(simd::SetLevelForTest(level)) {}
+  ~ScopedSimdLevel() { simd::SetLevelForTest(previous_); }
+
+ private:
+  simd::Level previous_;
+};
+
+// Executes `plan` at every supported SIMD level and thread count 1/2/8 and
+// expects one bit-identical ExecutionResult — time_units and the collision
+// and partition counters included — equal to the scalar-level, one-thread
+// run, which must in turn match the naive oracle. The scalar-level result
+// lands in `*out` when given.
+void ExpectPlanInvariantAcrossLevelsAndThreads(const Catalog& catalog,
+                                               const PhysicalPlan& plan,
+                                               ExecutionResult* out = nullptr) {
+  Executor executor(&catalog);
+  simd::Level entry = simd::ActiveLevel();
+  ExecutionResult reference;
+  bool have_reference = false;
+  for (simd::Level level : simd::SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    for (int threads : {1, 2, 8}) {
+      ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
+      auto got = executor.Execute(plan);
+      ASSERT_TRUE(got.ok())
+          << "level=" << simd::LevelName(level) << " threads=" << threads
+          << ": " << got.status().ToString();
+      SCOPED_TRACE(std::string("level=") + simd::LevelName(level) +
+                   " threads=" + std::to_string(threads));
+      if (!have_reference) {
+        reference = *got;
+        have_reference = true;
+      } else {
+        ExpectResultsBitIdentical(*got, reference);
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
+  simd::SetLevelForTest(entry);
+  ExpectMatchesOracle(catalog, plan, reference);
+  if (out != nullptr) *out = reference;
 }
 
 // Two joinable tables of parameterized size with overlapping skewed keys
@@ -372,11 +545,12 @@ TEST(VectorizedKernelTest, KernelsMatchPredicateReference) {
 
 TEST(VectorizedScanTest, EdgeCaseSelectionsMatchScalar) {
   // Batch-size boundaries around kVecBatchRows and the morsel/parallel
-  // thresholds; predicates that select everything, nothing, and a mix.
+  // thresholds; predicates that select everything, nothing, and a mix. Each
+  // plan runs at every SIMD level (the scalar level is the reference) and
+  // thread count, and is checked against the naive oracle.
   for (size_t rows : {size_t{1}, kVecBatchRows - 1, kVecBatchRows,
                       kVecBatchRows + 1, size_t{4096}, size_t{8193}}) {
     Catalog catalog = MakeSyntheticCatalog(rows, 16);
-    Executor executor(&catalog);
     struct Case {
       const char* name;
       std::vector<Predicate> predicates;
@@ -391,33 +565,14 @@ TEST(VectorizedScanTest, EdgeCaseSelectionsMatchScalar) {
         {"nopred", {}},
     };
     for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " rows=" + std::to_string(rows));
       Query q;
       q.AddTable("big_a");
       for (const Predicate& p : c.predicates) q.AddPredicate(p);
       PhysicalPlan plan;
       plan.query = &q;
       plan.root = MakeScanNode(0);
-      executor.set_vectorized(true);
-      auto vec = executor.Execute(plan);
-      executor.set_vectorized(false);
-      auto scalar = executor.Execute(plan);
-      ASSERT_TRUE(vec.ok() && scalar.ok()) << c.name << " rows=" << rows;
-      ExpectResultsBitIdentical(*vec, *scalar);
-      // Cross-check the count against a direct per-row evaluation.
-      uint64_t want = 0;
-      const Table& t = **catalog.GetTable("big_a");
-      for (size_t r = 0; r < t.num_rows(); ++r) {
-        bool pass = true;
-        for (const Predicate& p : c.predicates) {
-          auto idx = t.ColumnIndex(p.column);
-          if (!p.Matches(t.ValueAt(r, *idx))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) ++want;
-      }
-      EXPECT_EQ(vec->row_count, want) << c.name << " rows=" << rows;
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
     }
   }
 }
@@ -432,8 +587,9 @@ TEST(VectorizedJoinTest, MatchesScalarBitForBitAcrossThreads) {
   };
   for (Shape shape : {Shape{100, 50}, Shape{1025, 1023}, Shape{4096, 4095},
                       Shape{9000, 3000}}) {
+    SCOPED_TRACE(std::to_string(shape.rows_a) + "x" +
+                 std::to_string(shape.rows_b));
     Catalog catalog = MakeSyntheticCatalog(shape.rows_a, shape.rows_b);
-    Executor executor(&catalog);
     Query q;
     q.AddTable("big_a");
     q.AddTable("big_b");
@@ -443,43 +599,13 @@ TEST(VectorizedJoinTest, MatchesScalarBitForBitAcrossThreads) {
     plan.query = &q;
     plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
                              MakeScanNode(1));
-
-    ExecutionResult reference;
-    bool have_reference = false;
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
-      executor.set_vectorized(true);
-      auto vec = executor.Execute(plan);
-      executor.set_vectorized(false);
-      auto scalar = executor.Execute(plan);
-      ASSERT_TRUE(vec.ok() && scalar.ok())
-          << shape.rows_a << "x" << shape.rows_b << " threads=" << threads;
-      ExpectResultsBitIdentical(*vec, *scalar);
-      if (!have_reference) {
-        reference = *vec;
-        have_reference = true;
-      } else {
-        ExpectResultsBitIdentical(*vec, reference);
-      }
-    }
-    ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
+    ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
   }
 }
 
 // --- SIMD dispatch layer: level detection, LQO_SIMD override, per-level
 // kernel bit-equality, and the real merge/NLJ join paths (DESIGN.md
 // "Vectorized execution" → "SIMD dispatch"). ------------------------------
-
-// Restores the active SIMD level on scope exit so tests compose.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : previous_(simd::SetLevelForTest(level)) {}
-  ~ScopedSimdLevel() { simd::SetLevelForTest(previous_); }
-
- private:
-  simd::Level previous_;
-};
 
 TEST(SimdDispatchTest, SupportedLevelsAndNames) {
   std::vector<simd::Level> levels = simd::SupportedLevels();
@@ -607,39 +733,6 @@ TEST(SimdKernelTest, AllLevelsMatchScalarOnEdgeSizes) {
   }
 }
 
-// Executes `plan` at every supported SIMD level and thread count 1/2/8,
-// vectorized and scalar, and expects one bit-identical ExecutionResult.
-void ExpectPlanInvariantAcrossLevelsAndThreads(Catalog* catalog,
-                                               const PhysicalPlan& plan) {
-  Executor executor(catalog);
-  simd::Level entry = simd::ActiveLevel();
-  ExecutionResult reference;
-  bool have_reference = false;
-  for (simd::Level level : simd::SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
-      executor.set_vectorized(true);
-      auto vec = executor.Execute(plan);
-      executor.set_vectorized(false);
-      auto scalar = executor.Execute(plan);
-      ASSERT_TRUE(vec.ok() && scalar.ok())
-          << "level=" << simd::LevelName(level) << " threads=" << threads;
-      SCOPED_TRACE(std::string("level=") + simd::LevelName(level) +
-                   " threads=" + std::to_string(threads));
-      ExpectResultsBitIdentical(*vec, *scalar);
-      if (!have_reference) {
-        reference = *vec;
-        have_reference = true;
-      } else {
-        ExpectResultsBitIdentical(*vec, reference);
-      }
-    }
-  }
-  ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
-  simd::SetLevelForTest(entry);
-}
-
 TEST(SimdJoinTest, MergeJoinDuplicateRunsMatchScalarAndHash) {
   // Key space of 512 over thousands of rows → long duplicate runs on both
   // sides, exercising galloping run detection and the batched cross-product
@@ -653,7 +746,7 @@ TEST(SimdJoinTest, MergeJoinDuplicateRunsMatchScalarAndHash) {
   plan.query = &q;
   plan.root = MakeJoinNode(JoinAlgorithm::kMergeJoin, MakeScanNode(0),
                            MakeScanNode(1));
-  ExpectPlanInvariantAcrossLevelsAndThreads(&catalog, plan);
+  ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
   // Same row count as the hash strategy (same multiset contract).
   Executor executor(&catalog);
   auto merge = executor.Execute(plan);
@@ -678,7 +771,7 @@ TEST(SimdJoinTest, NestedLoopBatchesMatchScalarAndHash) {
   plan.query = &q;
   plan.root = MakeJoinNode(JoinAlgorithm::kNestedLoopJoin, MakeScanNode(0),
                            MakeScanNode(1));
-  ExpectPlanInvariantAcrossLevelsAndThreads(&catalog, plan);
+  ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
   Executor executor(&catalog);
   auto nlj = executor.Execute(plan);
   plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
@@ -709,6 +802,7 @@ TEST(SimdJoinTest, AboveGateDeclaredJoinsFallBackToHash) {
   auto hash = executor.Execute(plan);
   ASSERT_TRUE(nlj.ok() && hash.ok());
   EXPECT_EQ(nlj->row_count, hash->row_count);
+  ExpectMatchesOracle(catalog, plan, *hash);
   // Hash execution internals leak only into diagnostics, never charging:
   // the NLJ-declared node still pays the quadratic pair cost.
   EXPECT_GT(nlj->node_profiles.back().time_units,
@@ -726,22 +820,7 @@ TEST(SimdJoinTest, ScanFilterPlanInvariantAcrossLevels) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  ExpectPlanInvariantAcrossLevelsAndThreads(&catalog, plan);
-}
-
-TEST(VectorizedExecutorTest, EnvEscapeHatchControlsDefault) {
-  Catalog catalog = MakeToyCatalog();
-  setenv("LQO_VECTORIZED", "0", /*overwrite=*/1);
-  Executor scalar_default(&catalog);
-  EXPECT_FALSE(scalar_default.vectorized());
-  setenv("LQO_VECTORIZED", "1", /*overwrite=*/1);
-  Executor vectorized_on(&catalog);
-  EXPECT_TRUE(vectorized_on.vectorized());
-  unsetenv("LQO_VECTORIZED");
-  Executor vectorized_default(&catalog);
-  EXPECT_TRUE(vectorized_default.vectorized());
-  vectorized_default.set_vectorized(false);
-  EXPECT_FALSE(vectorized_default.vectorized());
+  ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
 }
 
 // --- Late-materialization output stage: aggregation kernels, projection,
@@ -828,7 +907,6 @@ TEST(GroupIndexTest, AssignsFirstSeenOrderIdsAcrossGrowth) {
 
 TEST(AggregateTest, GlobalAggregatesMatchHandComputation) {
   Catalog catalog = MakeToyCatalog();
-  Executor executor(&catalog);
   Query q;
   q.AddTable("r");
   q.AddPredicate(Predicate::Range(0, "v", 15, 35));  // v=20, v=30 qualify
@@ -840,29 +918,25 @@ TEST(AggregateTest, GlobalAggregatesMatchHandComputation) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  executor.set_vectorized(true);
-  auto vec = executor.Execute(plan);
-  executor.set_vectorized(false);
-  auto scalar = executor.Execute(plan);
-  ASSERT_TRUE(vec.ok() && scalar.ok()) << vec.status().ToString();
-  ExpectResultsBitIdentical(*vec, *scalar);
-  EXPECT_EQ(vec->row_count, 2u);  // qualifying-row semantics unchanged
-  EXPECT_EQ(vec->output_row_count, 1u);
-  ASSERT_EQ(vec->output_cols.size(), 5u);
-  EXPECT_EQ(vec->output_cols[0], (std::vector<int64_t>{2}));   // COUNT(*)
-  EXPECT_EQ(vec->output_cols[1], (std::vector<int64_t>{50}));  // SUM
-  EXPECT_EQ(vec->output_cols[2], (std::vector<int64_t>{20}));  // MIN
-  EXPECT_EQ(vec->output_cols[3], (std::vector<int64_t>{30}));  // MAX
-  EXPECT_EQ(vec->output_cols[4], (std::vector<int64_t>{25}));  // AVG
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  EXPECT_EQ(got.row_count, 2u);  // qualifying-row semantics unchanged
+  EXPECT_EQ(got.output_row_count, 1u);
+  ASSERT_EQ(got.output_cols.size(), 5u);
+  EXPECT_EQ(got.output_cols[0], (std::vector<int64_t>{2}));   // COUNT(*)
+  EXPECT_EQ(got.output_cols[1], (std::vector<int64_t>{50}));  // SUM
+  EXPECT_EQ(got.output_cols[2], (std::vector<int64_t>{20}));  // MIN
+  EXPECT_EQ(got.output_cols[3], (std::vector<int64_t>{30}));  // MAX
+  EXPECT_EQ(got.output_cols[4], (std::vector<int64_t>{25}));  // AVG
   // The sink appends one trailing profile: scan + output.
-  ASSERT_EQ(vec->node_profiles.size(), 2u);
-  EXPECT_EQ(vec->node_profiles.back().kind, PlanNode::Kind::kOutput);
-  EXPECT_EQ(vec->node_profiles.back().output_rows, 1u);
+  ASSERT_EQ(got.node_profiles.size(), 2u);
+  EXPECT_EQ(got.node_profiles.back().kind, PlanNode::Kind::kOutput);
+  EXPECT_EQ(got.node_profiles.back().output_rows, 1u);
 }
 
 TEST(AggregateTest, EmptyInputAggregatesAreZero) {
   Catalog catalog = MakeToyCatalog();
-  Executor executor(&catalog);
   Query q;
   q.AddTable("r");
   q.AddPredicate(Predicate::Equals(0, "v", 999));  // matches nothing
@@ -874,22 +948,62 @@ TEST(AggregateTest, EmptyInputAggregatesAreZero) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  executor.set_vectorized(true);
-  auto vec = executor.Execute(plan);
-  executor.set_vectorized(false);
-  auto scalar = executor.Execute(plan);
-  ASSERT_TRUE(vec.ok() && scalar.ok());
-  ExpectResultsBitIdentical(*vec, *scalar);
-  EXPECT_EQ(vec->row_count, 0u);
-  EXPECT_EQ(vec->output_row_count, 1u);  // one (all-zero) global agg row
-  for (size_t o = 0; o < vec->output_cols.size(); ++o) {
-    EXPECT_EQ(vec->output_cols[o], (std::vector<int64_t>{0})) << "output " << o;
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  EXPECT_EQ(got.row_count, 0u);
+  EXPECT_EQ(got.output_row_count, 1u);  // one (all-zero) global agg row
+  for (size_t o = 0; o < got.output_cols.size(); ++o) {
+    EXPECT_EQ(got.output_cols[o], (std::vector<int64_t>{0})) << "output " << o;
   }
+}
+
+TEST(AggregateTest, SumOverflowWrapsModulo2To64) {
+  // SUM wraps modulo 2^64 and AVG truncates the wrapped sum (AggFunc in
+  // query/query.h): k=1 sums 2*INT64_MAX+5 = 3 (mod 2^64), AVG 1; k=2 sums
+  // 2*INT64_MIN-7 = -7 (mod 2^64), AVG -2.
+  Catalog catalog;
+  {
+    TableBuilder b("wide");
+    b.AddInt64Column("k");
+    b.AddInt64Column("v");
+    b.AppendRow({1, INT64_MAX});
+    b.AppendRow({2, INT64_MIN});
+    b.AppendRow({1, INT64_MAX});
+    b.AppendRow({2, INT64_MIN});
+    b.AppendRow({1, 5});
+    b.AppendRow({2, -7});
+    LQO_CHECK(catalog.AddTable(b.Build()).ok());
+  }
+  Query q;
+  q.AddTable("wide");
+  q.AddOutput(OutputExpr::Column(0, "k"));
+  q.AddOutput(OutputExpr::Aggregate(AggFunc::kSum, 0, "v"));
+  q.AddOutput(OutputExpr::Aggregate(AggFunc::kAvg, 0, "v"));
+  q.SetGroupBy(0, "k");
+  PhysicalPlan plan;
+  plan.query = &q;
+  plan.root = MakeScanNode(0);
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  ASSERT_EQ(got.output_cols.size(), 3u);
+  EXPECT_EQ(got.output_cols[1], (std::vector<int64_t>{3, -7}));
+  EXPECT_EQ(got.output_cols[2], (std::vector<int64_t>{1, -2}));
+
+  Query global;
+  global.AddTable("wide");
+  global.AddOutput(OutputExpr::Aggregate(AggFunc::kSum, 0, "v"));
+  global.AddOutput(OutputExpr::Aggregate(AggFunc::kAvg, 0, "v"));
+  plan.query = &global;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  EXPECT_EQ(got.output_cols[0], (std::vector<int64_t>{-4}));
+  EXPECT_EQ(got.output_cols[1], (std::vector<int64_t>{0}));
 }
 
 TEST(AggregateTest, GroupByMatchesHandComputation) {
   Catalog catalog = MakeToyCatalog();
-  Executor executor(&catalog);
   Query q;
   q.AddTable("r");
   q.AddOutput(OutputExpr::Column(0, "k"));
@@ -899,25 +1013,21 @@ TEST(AggregateTest, GroupByMatchesHandComputation) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  executor.set_vectorized(true);
-  auto vec = executor.Execute(plan);
-  executor.set_vectorized(false);
-  auto scalar = executor.Execute(plan);
-  ASSERT_TRUE(vec.ok() && scalar.ok()) << vec.status().ToString();
-  ExpectResultsBitIdentical(*vec, *scalar);
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
   // r = (1,10) (1,20) (2,30) (3,40): groups in first-seen order 1, 2, 3.
-  EXPECT_EQ(vec->row_count, 4u);
-  EXPECT_EQ(vec->output_row_count, 3u);
-  ASSERT_EQ(vec->output_cols.size(), 3u);
-  EXPECT_EQ(vec->output_cols[0], (std::vector<int64_t>{1, 2, 3}));
-  EXPECT_EQ(vec->output_cols[1], (std::vector<int64_t>{2, 1, 1}));
-  EXPECT_EQ(vec->output_cols[2], (std::vector<int64_t>{30, 30, 40}));
-  EXPECT_EQ(vec->node_profiles.back().groups, 3u);
+  EXPECT_EQ(got.row_count, 4u);
+  EXPECT_EQ(got.output_row_count, 3u);
+  ASSERT_EQ(got.output_cols.size(), 3u);
+  EXPECT_EQ(got.output_cols[0], (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(got.output_cols[1], (std::vector<int64_t>{2, 1, 1}));
+  EXPECT_EQ(got.output_cols[2], (std::vector<int64_t>{30, 30, 40}));
+  EXPECT_EQ(got.node_profiles.back().groups, 3u);
 }
 
 TEST(AggregateTest, AllGroupsDistinctOnePerRow) {
   Catalog catalog = MakeToyCatalog();
-  Executor executor(&catalog);
   Query q;
   q.AddTable("r");
   q.AddOutput(OutputExpr::Column(0, "v"));
@@ -926,22 +1036,18 @@ TEST(AggregateTest, AllGroupsDistinctOnePerRow) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  executor.set_vectorized(true);
-  auto vec = executor.Execute(plan);
-  executor.set_vectorized(false);
-  auto scalar = executor.Execute(plan);
-  ASSERT_TRUE(vec.ok() && scalar.ok());
-  ExpectResultsBitIdentical(*vec, *scalar);
-  EXPECT_EQ(vec->output_row_count, 4u);
-  EXPECT_EQ(vec->output_cols[0], (std::vector<int64_t>{10, 20, 30, 40}));
-  EXPECT_EQ(vec->output_cols[1], (std::vector<int64_t>{1, 1, 1, 1}));
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  EXPECT_EQ(got.output_row_count, 4u);
+  EXPECT_EQ(got.output_cols[0], (std::vector<int64_t>{10, 20, 30, 40}));
+  EXPECT_EQ(got.output_cols[1], (std::vector<int64_t>{1, 1, 1, 1}));
 }
 
 TEST(AggregateTest, SparseKeyDomainTakesHashGroupingPath) {
   // Keys spread over a huge domain defeat the dense direct-table mapping,
-  // forcing the vectorized sink onto the hash + GroupIndex fallback — which
-  // must still match the scalar reference bit for bit, first-seen order
-  // included.
+  // forcing the sink onto the hash + GroupIndex fallback — which must
+  // still match the naive oracle, first-seen order included.
   Catalog catalog;
   {
     TableBuilder b("sparse");
@@ -953,7 +1059,6 @@ TEST(AggregateTest, SparseKeyDomainTakesHashGroupingPath) {
     }
     LQO_CHECK(catalog.AddTable(b.Build()).ok());
   }
-  Executor executor(&catalog);
   Query q;
   q.AddTable("sparse");
   q.AddOutput(OutputExpr::Column(0, "k"));
@@ -965,21 +1070,18 @@ TEST(AggregateTest, SparseKeyDomainTakesHashGroupingPath) {
   PhysicalPlan plan;
   plan.query = &q;
   plan.root = MakeScanNode(0);
-  executor.set_vectorized(true);
-  auto vec = executor.Execute(plan);
-  executor.set_vectorized(false);
-  auto scalar = executor.Execute(plan);
-  ASSERT_TRUE(vec.ok() && scalar.ok());
-  ExpectResultsBitIdentical(*vec, *scalar);
-  EXPECT_EQ(vec->output_row_count, 40u);
+  ExecutionResult got;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan, &got));
+  EXPECT_EQ(got.output_row_count, 40u);
   // First-seen order: group g holds rows g, g+40, ... -> COUNT 125 each,
   // MIN = g, MAX = g + 4960.
   for (size_t g = 0; g < 40; ++g) {
-    EXPECT_EQ(vec->output_cols[0][g],
+    EXPECT_EQ(got.output_cols[0][g],
               static_cast<int64_t>(g) * 262'144'000'000'000);
-    EXPECT_EQ(vec->output_cols[1][g], 125);
-    EXPECT_EQ(vec->output_cols[3][g], static_cast<int64_t>(g));
-    EXPECT_EQ(vec->output_cols[4][g], static_cast<int64_t>(g) + 4960);
+    EXPECT_EQ(got.output_cols[1][g], 125);
+    EXPECT_EQ(got.output_cols[3][g], static_cast<int64_t>(g));
+    EXPECT_EQ(got.output_cols[4][g], static_cast<int64_t>(g) + 4960);
   }
 }
 
@@ -1023,6 +1125,8 @@ TEST(AggregateTest, GroupByOverJoinCrossChecksRowCount) {
   }
   EXPECT_EQ(group_total, counted->row_count);
   EXPECT_EQ(grouped->output_row_count, 5u);  // w in [0,4]
+  ExpectMatchesOracle(catalog, plan, *grouped);
+  ExpectMatchesOracle(catalog, plain_plan, *counted);
 }
 
 TEST(AggregateTest, GroupedJoinInvariantAcrossLevelsAndThreads) {
@@ -1042,14 +1146,13 @@ TEST(AggregateTest, GroupedJoinInvariantAcrossLevelsAndThreads) {
   plan.query = &q;
   plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
                            MakeScanNode(1));
-  ExpectPlanInvariantAcrossLevelsAndThreads(&catalog, plan);
+  ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
 }
 
 TEST(ProjectionTest, ScanProjectionMatchesReferenceAtBoundarySizes) {
   for (size_t rows : {size_t{1}, size_t{1023}, size_t{1024}, size_t{1025},
                       size_t{8193}}) {
     Catalog catalog = MakeSyntheticCatalog(rows, 16);
-    Executor executor(&catalog);
     Query q;
     q.AddTable("big_a");
     q.AddPredicate(Predicate::Range(0, "v", 100, 700));
@@ -1058,25 +1161,10 @@ TEST(ProjectionTest, ScanProjectionMatchesReferenceAtBoundarySizes) {
     PhysicalPlan plan;
     plan.query = &q;
     plan.root = MakeScanNode(0);
-    executor.set_vectorized(true);
-    auto vec = executor.Execute(plan);
-    executor.set_vectorized(false);
-    auto scalar = executor.Execute(plan);
-    ASSERT_TRUE(vec.ok() && scalar.ok()) << "rows=" << rows;
-    ExpectResultsBitIdentical(*vec, *scalar);
-    // Direct reference: qualifying rows in base-table order.
-    const Table& t = **catalog.GetTable("big_a");
-    std::vector<int64_t> want_v, want_k;
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      int64_t v = t.ValueAt(r, *t.ColumnIndex("v"));
-      if (v >= 100 && v <= 700) {
-        want_v.push_back(v);
-        want_k.push_back(t.ValueAt(r, *t.ColumnIndex("k")));
-      }
-    }
-    EXPECT_EQ(vec->output_row_count, want_v.size()) << "rows=" << rows;
-    EXPECT_EQ(vec->output_cols[0], want_v) << "rows=" << rows;
-    EXPECT_EQ(vec->output_cols[1], want_k) << "rows=" << rows;
+    // The oracle holds the output to the qualifying rows in base-table
+    // order, across every batch and morsel boundary.
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
   }
 }
 
@@ -1094,7 +1182,7 @@ TEST(ProjectionTest, JoinProjectionInvariantAcrossLevelsAndThreads) {
   plan.query = &q;
   plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
                            MakeScanNode(1));
-  ExpectPlanInvariantAcrossLevelsAndThreads(&catalog, plan);
+  ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
 }
 
 TEST(ExecutorTest, RejectsInvalidOutputStage) {

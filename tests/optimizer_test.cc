@@ -1,5 +1,7 @@
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/table_stats.h"
+#include "query/sql_parser.h"
 #include "query/workload.h"
 #include "storage/datasets.h"
 
@@ -270,6 +273,59 @@ TEST_F(OptimizerTest, OracleCardsYieldCheaperOrEqualTrueCost) {
     total_oracle += o->time_units;
   }
   EXPECT_LE(total_oracle, total_baseline * 1.1);
+}
+
+// A 40-way star (hub joined to 39 satellites) has 2^39 + 39 connected
+// subgraphs. The DP must give up before enumerating them, ahead of any
+// estimator call, and return the greedy plan instead.
+TEST(OptimizerStarTest, FortyWayStarFromSqlFallsBackToGreedy) {
+  Catalog catalog;
+  TableBuilder hub("hub");
+  hub.AddInt64Column("id");
+  for (int64_t r = 0; r < 50; ++r) hub.AppendRow({r});
+  ASSERT_TRUE(catalog.AddTable(hub.Build()).ok());
+  std::string sql = "SELECT COUNT(*) FROM hub";
+  std::string where;
+  for (int s = 1; s < 40; ++s) {
+    std::string name = "s" + std::to_string(s);
+    TableBuilder sat(name);
+    sat.AddInt64Column("hub_id");
+    for (int64_t r = 0; r < 50; ++r) sat.AppendRow({(r * s) % 50});
+    ASSERT_TRUE(catalog.AddTable(sat.Build()).ok());
+    ASSERT_TRUE(catalog
+                    .AddJoinEdge({.left_table = "hub",
+                                  .left_column = "id",
+                                  .right_table = name,
+                                  .right_column = "hub_id"})
+                    .ok());
+    sql += ", " + name;
+    where += (s == 1 ? " WHERE hub.id = " : " AND hub.id = ") + name +
+             ".hub_id";
+  }
+  StatusOr<Query> query = ParseSql(catalog, sql + where);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query->num_tables(), 40);
+
+  StatsCatalog stats;
+  stats.Build(catalog);
+  BaselineCardinalityEstimator estimator(&catalog, &stats);
+  AnalyticalCostModel model(&stats);
+  Optimizer optimizer(&stats, &model);
+  CardinalityProvider cards(&estimator);
+  auto start = std::chrono::steady_clock::now();
+  PlannerResult planned = optimizer.Optimize(*query, &cards);
+  std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 1.0);
+  EXPECT_TRUE(planned.greedy_fallback);
+  ASSERT_NE(planned.plan.root, nullptr);
+  EXPECT_EQ(planned.plan.root->table_set, query->AllTables());
+
+  CardinalityProvider greedy_cards(&estimator);
+  PlannerResult greedy = optimizer.OptimizeGreedy(*query, &greedy_cards);
+  EXPECT_FALSE(greedy.greedy_fallback);
+  EXPECT_EQ(planned.plan.Signature(), greedy.plan.Signature());
+  EXPECT_EQ(planned.estimated_cost, greedy.estimated_cost);
 }
 
 }  // namespace

@@ -129,9 +129,11 @@ const std::vector<Rule>& Catalog() {
        "bookkeeping. Batch kernels size the output once per batch and write\n"
        "through a raw pointer instead — gather survivors with GatherAppend /\n"
        "AppendContiguous (src/engine/vec_batch.h) or bulk insert() after the\n"
-       "loop. Deliberate per-row growth (e.g. a scalar reference path kept\n"
-       "for A/B equality) is waived with\n"
-       "// lint: hot-loop-growth-ok(<reason>)."},
+       "loop. Deliberate growth that is amortized rather than per-row (e.g.\n"
+       "registering a first-seen group into reserved capacity) is waived\n"
+       "with // lint: hot-loop-growth-ok(<reason>). Reference\n"
+       "implementations for equality checks belong in tests/, not in hot\n"
+       "files."},
       {"raw-intrinsics", "hygiene", Severity::kError,
        "raw SIMD intrinsics (immintrin.h/arm_neon.h, _mm*/v*q_) outside "
        "engine/simd.* and engine/agg_kernels.*",
