@@ -529,8 +529,9 @@ void BM_KernelFilterRangeDense(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelFilterRangeDense);
 
-// Branchy tuple-at-a-time reference for the range kernel: what the scalar
-// executor path pays per row, for a direct rows/s comparison in the table.
+// Branchy-loop baseline for the range kernel: a plain `if` per row with a
+// data-dependent branch, for a direct rows/s comparison against the
+// dispatched branch-free kernel above. No executor path runs this loop.
 void BM_KernelFilterRangeScalarRef(benchmark::State& state) {
   KernelFixture& f = Kernels();
   for (auto _ : state) {

@@ -108,17 +108,17 @@ SiteReport RunSite(const std::string& name, const std::vector<int>& counts,
 // Site 11 (also standalone via --simd-only): the explicit SIMD kernel layer
 // of engine/simd.h and the executor plans it feeds. Three jobs:
 //   1. Determinism fingerprint: scan/filter, hash-join, merge-join, NLJ and
-//      3-way chain hash-join plans executed at every supported LQO_SIMD
-//      level, folded into the RunSite fingerprint (row counts, time_units,
-//      collision and partition counters), which RunSite then sweeps across
-//      thread counts — any bit divergence across the level x threads cube
-//      fails the bench.
+//      3-way chain hash-join plans executed at every supported SIMD level
+//      (scalar, plus avx2 where the CPU has it), folded into the RunSite
+//      fingerprint (row counts, time_units, collision and partition
+//      counters), which RunSite then sweeps across thread counts — any bit
+//      divergence across the level x threads cube fails the bench.
 //   2. Throughput per kernel family (filter eq/range/in dense, join-key
 //      hashing) at every supported level, plus executor-level rows/s of the
 //      real merge-join and (per level) block-NLJ paths, emitted as
 //      BENCH_simd.json.
-//   3. Perf floor (plain builds only): the best SIMD level must beat the
-//      scalar reference by >= 1.3x on each filter kernel family.
+//   3. Perf floor (plain builds only): the best SIMD level (avx2) must beat
+//      the scalar reference by >= 1.3x on each filter kernel family.
 void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
                         std::vector<SiteReport>* reports) {
   simd::Level entry_level = simd::ActiveLevel();
@@ -410,8 +410,8 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
 // pipeline (DESIGN.md "Late materialization & output pipeline"). Two jobs:
 //   1. Determinism fingerprint: grouped aggregation over a scan, grouped
 //      aggregation over a hash join (deferred row-id probe feeding the
-//      sink), and a bare projection, executed at every supported LQO_SIMD
-//      level. The fingerprint folds every output value (FNV over
+//      sink), and a bare projection, executed at every supported SIMD level
+//      (scalar, plus avx2 where the CPU has it). The fingerprint folds every output value (FNV over
 //      output_cols), output_row_count and the carried/materialized/groups
 //      profile counters, and RunSite sweeps it across thread counts — any
 //      bit divergence across the level x threads cube fails the bench.
@@ -615,8 +615,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bench_parallel_scaling (hardware_concurrency=%d)\n",
                hw);
 
-  // --simd-only: run just the simd_kernels site (scripts/check.sh uses this
-  // to sweep LQO_SIMD settings without paying for the full suite).
+  // --simd-only: run just the simd_kernels site, which itself sweeps every
+  // supported SIMD level (scripts/check.sh uses this to check the kernel
+  // layer without paying for the full suite).
   bool simd_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--simd-only") simd_only = true;

@@ -65,8 +65,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 "$BUILD_DIR"/bench/bench_parallel_scaling
 
 # Executor and SIMD-dispatch gates, under TSan + 4 threads: selection-vector
-# kernel reference checks, per-ISA-level kernel bit-equality, the LQO_SIMD
-# override path, and the oracle-backed engine tests — scan/join edge-case
+# kernel reference checks, scalar-vs-AVX2 kernel bit-equality (extreme
+# values included), and the oracle-backed engine tests — scan/join edge-case
 # batches and the real merge/NLJ join paths checked against the naive
 # evaluator of tests/naive_exec_oracle.h and bit-identical at every SIMD
 # level x 1/2/8 threads — plus the plan-shape checks that reject malformed
@@ -78,12 +78,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # the scalar reference table on odd batch sizes.
 "$BUILD_DIR"/bench/bench_micro_components \
   --benchmark_filter='Kernel' --benchmark_min_time=0.05
-# SIMD determinism fingerprint, twice: once pinned to the scalar reference
-# level and once at the best detected level. The site itself sweeps every
-# supported level x 1/2/4/N threads over its scan, hash, merge, NLJ and
-# 3-way chain plans and exits nonzero on any bit divergence (the >=1.3x
-# filter-kernel floor is compiled out under sanitizers).
-LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
+# SIMD determinism fingerprint. The site pins each supported level itself
+# (scalar, plus avx2 where the CPU has it) x 1/2/4/N threads over its scan,
+# hash, merge, NLJ and 3-way chain plans and exits nonzero on any bit
+# divergence (the >=1.3x filter-kernel floor is compiled out under
+# sanitizers).
 "$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
 
 # Late-materialization output pipeline gates, under TSan + 4 threads:
@@ -91,11 +90,10 @@ LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
 # oracle-backed GROUP BY, global-aggregate (overflowing SUM included) and
 # projection tests — outputs equal the naive evaluator's and stay
 # bit-identical at every SIMD level x 1/2/8 threads — then the
-# agg_projection determinism fingerprint (every supported level x 1/2/4/N
-# threads, folding every output value).
+# agg_projection determinism fingerprint (the site pins every supported
+# level itself x 1/2/4/N threads, folding every output value).
 "$BUILD_DIR"/tests/engine_test \
   --gtest_filter='Aggregate*:Projection*:GroupIndex*'
-LQO_SIMD=scalar "$BUILD_DIR"/bench/bench_parallel_scaling --agg-only
 "$BUILD_DIR"/bench/bench_parallel_scaling --agg-only
 
 # Batched-inference gates, still under TSan + 4 threads: the bit-identity

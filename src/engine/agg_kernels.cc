@@ -11,19 +11,13 @@
 #else
 #define LQO_AGG_SIMD_X86 0
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define LQO_AGG_SIMD_NEON 1
-#else
-#define LQO_AGG_SIMD_NEON 0
-#endif
 
 // Together with engine/simd.cc this is the only translation unit allowed to
 // touch raw intrinsics (lqo-lint rule `raw-intrinsics`); the executor's sink
-// reaches these bodies through the AggKernelTable only. Per-function
-// `target` attributes keep the global -m baseline unchanged, exactly as in
-// simd.cc; the shared dispatcher guarantees a body only runs on a CPU that
-// has its ISA.
+// reaches these bodies through the AggKernelTable only. A per-function
+// `target("avx2")` attribute keeps the global -m baseline unchanged, exactly
+// as in simd.cc; the shared dispatcher guarantees the AVX2 bodies only run
+// on a CPU that has AVX2.
 
 namespace lqo::simd {
 namespace {
@@ -32,7 +26,7 @@ namespace {
 // Scalar reference kernels. Branch-free folds: SUM wraps in uint64, MIN/MAX
 // select with conditional moves (ternaries the compiler lowers to cmov), so
 // per-row cost is data-independent. These define the semantics every SIMD
-// level must reproduce bit-for-bit — which they do for free, because all
+// level must reproduce bit-for-bit — which AVX2 does for free, because all
 // three folds are associative and commutative (see agg_kernels.h).
 // ===========================================================================
 
@@ -99,128 +93,11 @@ constexpr AggKernelTable kScalarAggTable = {
 #if LQO_AGG_SIMD_X86
 
 // ===========================================================================
-// SSE4.2: 2 × int64 lanes. pcmpgtq (SSE4.2) + pblendvb (SSE4.1) give
-// branch-free 64-bit min/max, which no SSE level has as a single
-// instruction. Sel variants assemble lanes with two scalar loads — hardware
-// gathers do not exist below AVX2, and the row ids are unordered after
-// joins, so per-lane loads are the only correct option anyway.
-// ===========================================================================
-
-__attribute__((target("sse4.2"))) uint64_t SumDenseSse(const int64_t* col,
-                                                       uint32_t row_begin,
-                                                       uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_setzero_si128();
-  for (; r + 2 <= row_end; r += 2) {
-    acc = _mm_add_epi64(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1];
-  for (; r < row_end; ++r) total += static_cast<uint64_t>(col[r]);
-  return total;
-}
-
-__attribute__((target("sse4.2"))) uint64_t SumSelSse(const int64_t* col,
-                                                     const uint32_t* sel,
-                                                     size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_setzero_si128();
-  for (; i + 2 <= count; i += 2) {
-    acc = _mm_add_epi64(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1];
-  for (; i < count; ++i) total += static_cast<uint64_t>(col[sel[i]]);
-  return total;
-}
-
-__attribute__((target("sse4.2"))) inline __m128i Min64Sse(__m128i a,
-                                                          __m128i b) {
-  // Keep b where a > b.
-  return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("sse4.2"))) inline __m128i Max64Sse(__m128i a,
-                                                          __m128i b) {
-  // Keep b where b > a.
-  return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(b, a));
-}
-
-__attribute__((target("sse4.2"))) int64_t MinDenseSse(const int64_t* col,
-                                                      uint32_t row_begin,
-                                                      uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::max());
-  for (; r + 2 <= row_end; r += 2) {
-    acc = Min64Sse(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-  for (; r < row_end; ++r) best = col[r] < best ? col[r] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MinSelSse(const int64_t* col,
-                                                    const uint32_t* sel,
-                                                    size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::max());
-  for (; i + 2 <= count; i += 2) {
-    acc = Min64Sse(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-  for (; i < count; ++i) best = col[sel[i]] < best ? col[sel[i]] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MaxDenseSse(const int64_t* col,
-                                                      uint32_t row_begin,
-                                                      uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::min());
-  for (; r + 2 <= row_end; r += 2) {
-    acc = Max64Sse(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; r < row_end; ++r) best = col[r] > best ? col[r] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MaxSelSse(const int64_t* col,
-                                                    const uint32_t* sel,
-                                                    size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::min());
-  for (; i + 2 <= count; i += 2) {
-    acc = Max64Sse(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; i < count; ++i) best = col[sel[i]] > best ? col[sel[i]] : best;
-  return best;
-}
-
-constexpr AggKernelTable kSseAggTable = {
-    SumDenseSse, SumSelSse, MinDenseSse, MinSelSse, MaxDenseSse, MaxSelSse,
-};
-
-// ===========================================================================
-// AVX2: 4 × int64 lanes. Same cmpgt+blendv min/max trick (AVX2 still has no
-// 64-bit vpmin/vpmax). Sel variants assemble lanes with four scalar loads
-// instead of vpgatherqq: the hardware gather takes *signed* 32-bit indices,
-// and sink row-id vectors are unordered after joins, so the ascending-max
-// guard the filter kernels use cannot bound them cheaply.
+// AVX2: 4 × int64 lanes. pcmpgtq + pblendvb give branch-free 64-bit min/max
+// (AVX2 has no 64-bit vpmin/vpmax). Sel variants assemble lanes with four
+// scalar loads instead of vpgatherqq: the hardware gather takes *signed*
+// 32-bit indices, and sink row-id vectors are unordered after joins, so the
+// ascending-max guard the filter kernels use cannot bound them cheaply.
 // ===========================================================================
 
 __attribute__((target("avx2"))) uint64_t SumDenseAvx2(const int64_t* col,
@@ -258,11 +135,13 @@ __attribute__((target("avx2"))) uint64_t SumSelAvx2(const int64_t* col,
 
 __attribute__((target("avx2"))) inline __m256i Min64Avx2(__m256i a,
                                                          __m256i b) {
+  // Keep b where a > b.
   return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
 }
 
 __attribute__((target("avx2"))) inline __m256i Max64Avx2(__m256i a,
                                                          __m256i b) {
+  // Keep b where b > a.
   return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
 }
 
@@ -341,64 +220,6 @@ constexpr AggKernelTable kAvx2AggTable = {
 
 #endif  // LQO_AGG_SIMD_X86
 
-#if LQO_AGG_SIMD_NEON
-
-// ===========================================================================
-// NEON (AArch64): 2 × int64 lanes for the dense folds (A64 has 64-bit
-// cmgt, so min/max blend with vbslq). Sel variants fall back to scalar,
-// mirroring the NEON filter table's dense-only acceleration.
-// ===========================================================================
-
-uint64_t SumDenseNeon(const int64_t* col, uint32_t row_begin,
-                      uint32_t row_end) {
-  uint32_t r = row_begin;
-  uint64x2_t acc = vdupq_n_u64(0);
-  for (; r + 2 <= row_end; r += 2) {
-    acc = vaddq_u64(acc,
-                    vreinterpretq_u64_s64(vld1q_s64(col + r)));
-  }
-  uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; r < row_end; ++r) total += static_cast<uint64_t>(col[r]);
-  return total;
-}
-
-int64_t MinDenseNeon(const int64_t* col, uint32_t row_begin,
-                     uint32_t row_end) {
-  uint32_t r = row_begin;
-  int64x2_t acc = vdupq_n_s64(std::numeric_limits<int64_t>::max());
-  for (; r + 2 <= row_end; r += 2) {
-    int64x2_t v = vld1q_s64(col + r);
-    acc = vbslq_s64(vcgtq_s64(acc, v), v, acc);
-  }
-  int64_t a = vgetq_lane_s64(acc, 0);
-  int64_t b = vgetq_lane_s64(acc, 1);
-  int64_t best = a < b ? a : b;
-  for (; r < row_end; ++r) best = col[r] < best ? col[r] : best;
-  return best;
-}
-
-int64_t MaxDenseNeon(const int64_t* col, uint32_t row_begin,
-                     uint32_t row_end) {
-  uint32_t r = row_begin;
-  int64x2_t acc = vdupq_n_s64(std::numeric_limits<int64_t>::min());
-  for (; r + 2 <= row_end; r += 2) {
-    int64x2_t v = vld1q_s64(col + r);
-    acc = vbslq_s64(vcgtq_s64(v, acc), v, acc);
-  }
-  int64_t a = vgetq_lane_s64(acc, 0);
-  int64_t b = vgetq_lane_s64(acc, 1);
-  int64_t best = a > b ? a : b;
-  for (; r < row_end; ++r) best = col[r] > best ? col[r] : best;
-  return best;
-}
-
-constexpr AggKernelTable kNeonAggTable = {
-    SumDenseNeon, SumSelScalar, MinDenseNeon,
-    MinSelScalar, MaxDenseNeon, MaxSelScalar,
-};
-
-#endif  // LQO_AGG_SIMD_NEON
-
 size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -409,22 +230,10 @@ size_t NextPowerOfTwo(size_t n) {
 
 const AggKernelTable& AggKernelsFor(Level level) {
   if (!LevelSupported(level)) return kScalarAggTable;
-  switch (level) {
-    case Level::kScalar:
-      return kScalarAggTable;
 #if LQO_AGG_SIMD_X86
-    case Level::kSse:
-      return kSseAggTable;
-    case Level::kAvx2:
-      return kAvx2AggTable;
+  if (level == Level::kAvx2) return kAvx2AggTable;
 #endif
-#if LQO_AGG_SIMD_NEON
-    case Level::kNeon:
-      return kNeonAggTable;
-#endif
-    default:
-      return kScalarAggTable;
-  }
+  return kScalarAggTable;
 }
 
 const AggKernelTable& AggKernels() { return AggKernelsFor(ActiveLevel()); }

@@ -16,9 +16,10 @@ namespace lqo::simd {
 /// a dense row range or through a row-id selection (the sink's deferred
 /// gather: `col[sel[i]]` reads base-table values through the row ids the
 /// joins carried forward, so aggregation never materializes the column).
-/// Dispatch follows engine/simd.h exactly: per-level tables of plain
-/// function pointers, resolved from the same ActiveLevel() /
-/// SetLevelForTest() state, one indirect call per column — never per row.
+/// Dispatch follows engine/simd.h exactly: two tables of plain function
+/// pointers, scalar (the reference) and AVX2, selected by the same
+/// ActiveLevel() / SetLevelForTest() state, one indirect call per column —
+/// never per row.
 ///
 /// Bit-equality contract, shared with the filter/hash kernels:
 ///  - SUM accumulates in *wrapping uint64* arithmetic. Wrapping addition is

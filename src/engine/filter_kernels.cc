@@ -6,10 +6,9 @@ namespace lqo {
 
 // Each entry point forwards to the process-wide SIMD kernel table
 // (engine/simd.h): one indirect call per batch, resolved once at first use
-// from CPU detection or the LQO_SIMD override. The scalar loop bodies live
-// in engine/simd.cc as the kScalar reference level; every other level is
-// bit-identical to them by contract, and all of them select exactly the
-// rows Predicate::Matches accepts.
+// from CPU detection. The scalar loop bodies live in engine/simd.cc as the
+// kScalar reference level; the AVX2 level is bit-identical to them by
+// contract, and both select exactly the rows Predicate::Matches accepts.
 
 size_t FilterEqDense(const int64_t* col, uint32_t row_begin, uint32_t row_end,
                      int64_t value, uint32_t* out_sel) {

@@ -21,11 +21,10 @@ namespace lqo {
 /// existing selection vector. All return the number of surviving rows
 /// written to `out_sel`, whose capacity must cover the input count.
 ///
-/// Since the SIMD dispatch layer landed, these entry points forward to the
-/// active engine/simd.h kernel table: on a CPU with SSE4.2/AVX2 (or under
-/// an `LQO_SIMD` override) the loops run as explicit
-/// compare→movemask→compressed-store kernels; the scalar reference level
-/// keeps the original cursor loops, and every level is bit-identical.
+/// These entry points forward to the active engine/simd.h kernel table: on
+/// a CPU with AVX2 the loops run as explicit compare→movemask→compressed-store
+/// kernels; elsewhere the scalar reference level runs the original cursor
+/// loops. Both levels are bit-identical.
 
 // -- Typed kernels (one tight loop per comparison op), exposed for the
 //    kernel microbenchmarks in bench_micro_components. --

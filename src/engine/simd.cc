@@ -1,7 +1,6 @@
 #include "engine/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -9,18 +8,12 @@
 #else
 #define LQO_SIMD_X86 0
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define LQO_SIMD_NEON 1
-#else
-#define LQO_SIMD_NEON 0
-#endif
 
 // This translation unit is the only one allowed to touch raw intrinsics
 // (lqo-lint rule `raw-intrinsics`); everything else goes through the
-// KernelTable. Per-function `target` attributes let one GCC invocation emit
-// SSE4.2 and AVX2 bodies without raising the global -m baseline; the
-// runtime dispatcher guarantees a body only runs on a CPU that has its ISA.
+// KernelTable. A per-function `target("avx2")` attribute lets one GCC
+// invocation emit the AVX2 bodies without raising the global -m baseline;
+// the runtime dispatcher guarantees they only run on a CPU that has AVX2.
 
 namespace lqo::simd {
 namespace {
@@ -132,16 +125,10 @@ constexpr KernelTable kScalarTable = {
     HashCombineColumnScalar, HashFinalizeScalar,
 };
 
-// A SIMD membership test compares against every list element, so it only
-// pays for short lists; longer lists keep the scalar descent. Both produce
-// the same 0/1 outcome per row, so the cutoff cannot change results.
-constexpr size_t kInListSimdMax = 16;
-
 #if LQO_SIMD_X86
 
 // ===========================================================================
-// x86-64: SSE4.2 (2 × int64 lanes) and AVX2 (4 × int64 lanes, emitted 8
-// rows per group).
+// x86-64 AVX2: 4 × int64 lanes, emitted 8 rows per group.
 //
 // The AVX2 filter kernels are compare → movemask → compressed-store: two
 // 4-lane compares produce one 8-bit survivor mask, the mask indexes a
@@ -176,226 +163,10 @@ constexpr Compress8Table MakeCompress8Table() {
 
 constexpr Compress8Table kCompress8 = MakeCompress8Table();
 
-// ---- SSE4.2: 2-lane compares, branch-free 2-slot emission. ----
-// (_mm_cmpgt_epi64 is the SSE4.2 instruction; everything else here is
-// SSE2/SSE4.1, so the whole level keys off sse4.2 support.)
-
-__attribute__((target("sse4.2"))) size_t FilterEqDenseSse(
-    const int64_t* col, uint32_t row_begin, uint32_t row_end, int64_t value,
-    uint32_t* out_sel) {
-  size_t k = 0;
-  uint32_t r = row_begin;
-  const __m128i needle = _mm_set1_epi64x(value);
-  for (; r + 2 <= row_end; r += 2) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r));
-    int mask = _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(v, needle)));
-    out_sel[k] = r;
-    k += static_cast<size_t>(mask & 1);
-    out_sel[k] = r + 1;
-    k += static_cast<size_t>((mask >> 1) & 1);
-  }
-  for (; r < row_end; ++r) {
-    out_sel[k] = r;
-    k += static_cast<size_t>(col[r] == value);
-  }
-  return k;
-}
-
-__attribute__((target("sse4.2"))) size_t FilterEqSelSse(
-    const int64_t* col, const uint32_t* sel, size_t count, int64_t value,
-    uint32_t* out_sel) {
-  size_t k = 0;
-  size_t i = 0;
-  const __m128i needle = _mm_set1_epi64x(value);
-  for (; i + 2 <= count; i += 2) {
-    __m128i v = _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]);
-    int mask = _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(v, needle)));
-    out_sel[k] = sel[i];
-    k += static_cast<size_t>(mask & 1);
-    out_sel[k] = sel[i + 1];
-    k += static_cast<size_t>((mask >> 1) & 1);
-  }
-  for (; i < count; ++i) {
-    uint32_t r = sel[i];
-    out_sel[k] = r;
-    k += static_cast<size_t>(col[r] == value);
-  }
-  return k;
-}
-
-// In-range as NOT(v < lo OR v > hi): two signed greater-thans cover both
-// inclusive bounds, matching the scalar (v >= lo) & (v <= hi).
-__attribute__((target("sse4.2"))) size_t FilterRangeDenseSse(
-    const int64_t* col, uint32_t row_begin, uint32_t row_end, int64_t lo,
-    int64_t hi, uint32_t* out_sel) {
-  size_t k = 0;
-  uint32_t r = row_begin;
-  const __m128i vlo = _mm_set1_epi64x(lo);
-  const __m128i vhi = _mm_set1_epi64x(hi);
-  for (; r + 2 <= row_end; r += 2) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r));
-    __m128i out_of_range = _mm_or_si128(_mm_cmpgt_epi64(vlo, v),
-                                        _mm_cmpgt_epi64(v, vhi));
-    int ok = ~_mm_movemask_pd(_mm_castsi128_pd(out_of_range)) & 3;
-    out_sel[k] = r;
-    k += static_cast<size_t>(ok & 1);
-    out_sel[k] = r + 1;
-    k += static_cast<size_t>((ok >> 1) & 1);
-  }
-  for (; r < row_end; ++r) {
-    int64_t v = col[r];
-    out_sel[k] = r;
-    k += static_cast<size_t>((v >= lo) & (v <= hi));
-  }
-  return k;
-}
-
-__attribute__((target("sse4.2"))) size_t FilterRangeSelSse(
-    const int64_t* col, const uint32_t* sel, size_t count, int64_t lo,
-    int64_t hi, uint32_t* out_sel) {
-  size_t k = 0;
-  size_t i = 0;
-  const __m128i vlo = _mm_set1_epi64x(lo);
-  const __m128i vhi = _mm_set1_epi64x(hi);
-  for (; i + 2 <= count; i += 2) {
-    __m128i v = _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]);
-    __m128i out_of_range = _mm_or_si128(_mm_cmpgt_epi64(vlo, v),
-                                        _mm_cmpgt_epi64(v, vhi));
-    int ok = ~_mm_movemask_pd(_mm_castsi128_pd(out_of_range)) & 3;
-    out_sel[k] = sel[i];
-    k += static_cast<size_t>(ok & 1);
-    out_sel[k] = sel[i + 1];
-    k += static_cast<size_t>((ok >> 1) & 1);
-  }
-  for (; i < count; ++i) {
-    uint32_t r = sel[i];
-    int64_t v = col[r];
-    out_sel[k] = r;
-    k += static_cast<size_t>((v >= lo) & (v <= hi));
-  }
-  return k;
-}
-
-// IN as an OR of equality compares against pre-broadcast needles.
-__attribute__((target("sse4.2"))) size_t FilterInDenseSse(
-    const int64_t* col, uint32_t row_begin, uint32_t row_end,
-    const int64_t* sorted_values, size_t num_values, uint32_t* out_sel) {
-  if (num_values == 0 || num_values > kInListSimdMax) {
-    return FilterInDenseScalar(col, row_begin, row_end, sorted_values,
-                               num_values, out_sel);
-  }
-  __m128i needles[kInListSimdMax];
-  for (size_t i = 0; i < num_values; ++i) {
-    needles[i] = _mm_set1_epi64x(sorted_values[i]);
-  }
-  size_t k = 0;
-  uint32_t r = row_begin;
-  for (; r + 2 <= row_end; r += 2) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r));
-    __m128i any = _mm_cmpeq_epi64(v, needles[0]);
-    for (size_t i = 1; i < num_values; ++i) {
-      any = _mm_or_si128(any, _mm_cmpeq_epi64(v, needles[i]));
-    }
-    int mask = _mm_movemask_pd(_mm_castsi128_pd(any));
-    out_sel[k] = r;
-    k += static_cast<size_t>(mask & 1);
-    out_sel[k] = r + 1;
-    k += static_cast<size_t>((mask >> 1) & 1);
-  }
-  for (; r < row_end; ++r) {
-    out_sel[k] = r;
-    k += static_cast<size_t>(InListContains(sorted_values, num_values, col[r]));
-  }
-  return k;
-}
-
-__attribute__((target("sse4.2"))) size_t FilterInSelSse(
-    const int64_t* col, const uint32_t* sel, size_t count,
-    const int64_t* sorted_values, size_t num_values, uint32_t* out_sel) {
-  if (num_values == 0 || num_values > kInListSimdMax) {
-    return FilterInSelScalar(col, sel, count, sorted_values, num_values,
-                             out_sel);
-  }
-  __m128i needles[kInListSimdMax];
-  for (size_t i = 0; i < num_values; ++i) {
-    needles[i] = _mm_set1_epi64x(sorted_values[i]);
-  }
-  size_t k = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    __m128i v = _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]);
-    __m128i any = _mm_cmpeq_epi64(v, needles[0]);
-    for (size_t j = 1; j < num_values; ++j) {
-      any = _mm_or_si128(any, _mm_cmpeq_epi64(v, needles[j]));
-    }
-    int mask = _mm_movemask_pd(_mm_castsi128_pd(any));
-    out_sel[k] = sel[i];
-    k += static_cast<size_t>(mask & 1);
-    out_sel[k] = sel[i + 1];
-    k += static_cast<size_t>((mask >> 1) & 1);
-  }
-  for (; i < count; ++i) {
-    uint32_t r = sel[i];
-    out_sel[k] = r;
-    k += static_cast<size_t>(InListContains(sorted_values, num_values, col[r]));
-  }
-  return k;
-}
-
-// 64-bit low-half multiply from 32-bit cross products (SSE has no 64-bit
-// mullo): a*b mod 2^64 = lo(a)lo(b) + ((hi(a)lo(b) + lo(a)hi(b)) << 32).
-__attribute__((target("sse4.2"))) inline __m128i MulLo64Sse(__m128i a,
-                                                            __m128i b) {
-  __m128i lo = _mm_mul_epu32(a, b);
-  __m128i cross = _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-                                _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-  return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-}
-
-__attribute__((target("sse4.2"))) void HashCombineColumnSse(
-    uint64_t* hashes, const int64_t* col, size_t begin, size_t end) {
-  const __m128i golden = _mm_set1_epi64x(
-      static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  size_t r = begin;
-  for (; r + 2 <= end; r += 2) {
-    __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hashes + r));
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r));
-    __m128i mix = _mm_add_epi64(v, golden);
-    mix = _mm_add_epi64(mix, _mm_slli_epi64(h, 6));
-    mix = _mm_add_epi64(mix, _mm_srli_epi64(h, 2));
-    h = _mm_xor_si128(h, mix);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(hashes + r), h);
-  }
-  for (; r < end; ++r) hashes[r] = HashCombine(hashes[r], col[r]);
-}
-
-__attribute__((target("sse4.2"))) void HashFinalizeSse(uint64_t* hashes,
-                                                       size_t begin,
-                                                       size_t end) {
-  const __m128i m1 = _mm_set1_epi64x(
-      static_cast<long long>(0xff51afd7ed558ccdULL));
-  const __m128i m2 = _mm_set1_epi64x(
-      static_cast<long long>(0xc4ceb9fe1a85ec53ULL));
-  size_t r = begin;
-  for (; r + 2 <= end; r += 2) {
-    __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hashes + r));
-    h = _mm_xor_si128(h, _mm_srli_epi64(h, 33));
-    h = MulLo64Sse(h, m1);
-    h = _mm_xor_si128(h, _mm_srli_epi64(h, 33));
-    h = MulLo64Sse(h, m2);
-    h = _mm_xor_si128(h, _mm_srli_epi64(h, 33));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(hashes + r), h);
-  }
-  for (; r < end; ++r) hashes[r] = FinalizeHash(hashes[r]);
-}
-
-constexpr KernelTable kSseTable = {
-    FilterEqDenseSse,    FilterEqSelSse,   FilterRangeDenseSse,
-    FilterRangeSelSse,   FilterInDenseSse, FilterInSelSse,
-    HashCombineColumnSse, HashFinalizeSse,
-};
-
-// ---- AVX2: two 4-lane compares per group, vpermd compressed stores. ----
+// A SIMD membership test compares against every list element, so it only
+// pays for short lists; longer lists keep the scalar descent. Both produce
+// the same 0/1 outcome per row, so the cutoff cannot change results.
+constexpr size_t kInListSimdMax = 16;
 
 // Left-packs the row ids whose mask bits are set and stores them at
 // out_sel + k; returns the advanced cursor.
@@ -470,6 +241,8 @@ __attribute__((target("avx2"))) size_t FilterEqSelAvx2(
   return k;
 }
 
+// In-range as NOT(v < lo OR v > hi): two signed greater-thans cover both
+// inclusive bounds, matching the scalar (v >= lo) & (v <= hi).
 __attribute__((target("avx2"))) size_t FilterRangeDenseAvx2(
     const int64_t* col, uint32_t row_begin, uint32_t row_end, int64_t lo,
     int64_t hi, uint32_t* out_sel) {
@@ -538,6 +311,7 @@ __attribute__((target("avx2"))) size_t FilterRangeSelAvx2(
   return k;
 }
 
+// IN as an OR of equality compares against pre-broadcast needles.
 __attribute__((target("avx2"))) size_t FilterInDenseAvx2(
     const int64_t* col, uint32_t row_begin, uint32_t row_end,
     const int64_t* sorted_values, size_t num_values, uint32_t* out_sel) {
@@ -616,8 +390,9 @@ __attribute__((target("avx2"))) size_t FilterInSelAvx2(
   return k;
 }
 
-// 64-bit low-half multiply (AVX2's _mm256_mullo covers 32-bit lanes only;
-// the 64-bit form is AVX-512): same cross-product identity as MulLo64Sse.
+// 64-bit low-half multiply from 32-bit cross products (AVX2's _mm256_mullo
+// covers 32-bit lanes only; the 64-bit form is AVX-512):
+// a*b mod 2^64 = lo(a)lo(b) + ((hi(a)lo(b) + lo(a)hi(b)) << 32).
 __attribute__((target("avx2"))) inline __m256i MulLo64Avx2(__m256i a,
                                                            __m256i b) {
   __m256i lo = _mm256_mul_epu32(a, b);
@@ -674,127 +449,36 @@ constexpr KernelTable kAvx2Table = {
 
 #endif  // LQO_SIMD_X86
 
-#if LQO_SIMD_NEON
-
-// ===========================================================================
-// AArch64 NEON: 2 × int64 lanes for the dense filter compares (the paths
-// the scan spends its time in); sel/in/hash entries delegate to scalar —
-// bit-identical by construction, just not yet accelerated.
-// ===========================================================================
-
-size_t FilterEqDenseNeon(const int64_t* col, uint32_t row_begin,
-                         uint32_t row_end, int64_t value, uint32_t* out_sel) {
-  size_t k = 0;
-  uint32_t r = row_begin;
-  const int64x2_t needle = vdupq_n_s64(value);
-  for (; r + 2 <= row_end; r += 2) {
-    uint64x2_t eq = vceqq_s64(vld1q_s64(col + r), needle);
-    out_sel[k] = r;
-    k += static_cast<size_t>(vgetq_lane_u64(eq, 0) & 1);
-    out_sel[k] = r + 1;
-    k += static_cast<size_t>(vgetq_lane_u64(eq, 1) & 1);
-  }
-  for (; r < row_end; ++r) {
-    out_sel[k] = r;
-    k += static_cast<size_t>(col[r] == value);
-  }
-  return k;
-}
-
-size_t FilterRangeDenseNeon(const int64_t* col, uint32_t row_begin,
-                            uint32_t row_end, int64_t lo, int64_t hi,
-                            uint32_t* out_sel) {
-  size_t k = 0;
-  uint32_t r = row_begin;
-  const int64x2_t vlo = vdupq_n_s64(lo);
-  const int64x2_t vhi = vdupq_n_s64(hi);
-  for (; r + 2 <= row_end; r += 2) {
-    int64x2_t v = vld1q_s64(col + r);
-    uint64x2_t ok = vandq_u64(vcgeq_s64(v, vlo), vcleq_s64(v, vhi));
-    out_sel[k] = r;
-    k += static_cast<size_t>(vgetq_lane_u64(ok, 0) & 1);
-    out_sel[k] = r + 1;
-    k += static_cast<size_t>(vgetq_lane_u64(ok, 1) & 1);
-  }
-  for (; r < row_end; ++r) {
-    int64_t v = col[r];
-    out_sel[k] = r;
-    k += static_cast<size_t>((v >= lo) & (v <= hi));
-  }
-  return k;
-}
-
-constexpr KernelTable kNeonTable = {
-    FilterEqDenseNeon,    FilterEqSelScalar,   FilterRangeDenseNeon,
-    FilterRangeSelScalar, FilterInDenseScalar, FilterInSelScalar,
-    HashCombineColumnScalar, HashFinalizeScalar,
-};
-
-#endif  // LQO_SIMD_NEON
-
 // ===========================================================================
 // Dispatch state.
 // ===========================================================================
 
 // Cached resolved Level as int; -1 = unresolved. Protocol: release-store
 // after resolution, acquire-load on read. Concurrent first calls may both
-// resolve, but Resolve() is a pure function of the CPU and environment, so
-// they store the same value — the race is benign and deterministic.
+// resolve, but BestSupportedLevel() is a pure function of the CPU, so they
+// store the same value — the race is benign and deterministic.
 std::atomic<int> g_active_level{-1};
-
-Level Resolve() {
-  Level parsed;
-  const char* env = std::getenv("LQO_SIMD");
-  if (env != nullptr && ParseLevel(env, &parsed) && LevelSupported(parsed)) {
-    return parsed;
-  }
-  return BestSupportedLevel();
-}
 
 }  // namespace
 
 const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse: return "sse";
     case Level::kAvx2: return "avx2";
-    case Level::kNeon: return "neon";
   }
   return "scalar";
-}
-
-bool ParseLevel(const char* name, Level* out) {
-  if (name == nullptr) return false;
-  for (int i = 0; i < kNumLevels; ++i) {
-    Level level = static_cast<Level>(i);
-    const char* spelled = LevelName(level);
-    size_t j = 0;
-    while (spelled[j] != '\0' && name[j] == spelled[j]) ++j;
-    if (spelled[j] == '\0' && name[j] == '\0') {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool LevelSupported(Level level) {
   if (level == Level::kScalar) return true;
 #if LQO_SIMD_X86
-  if (level == Level::kSse) return __builtin_cpu_supports("sse4.2") != 0;
   if (level == Level::kAvx2) return __builtin_cpu_supports("avx2") != 0;
-#endif
-#if LQO_SIMD_NEON
-  if (level == Level::kNeon) return true;
 #endif
   return false;
 }
 
 Level BestSupportedLevel() {
-  if (LevelSupported(Level::kAvx2)) return Level::kAvx2;
-  if (LevelSupported(Level::kSse)) return Level::kSse;
-  if (LevelSupported(Level::kNeon)) return Level::kNeon;
-  return Level::kScalar;
+  return LevelSupported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 std::vector<Level> SupportedLevels() {
@@ -809,7 +493,7 @@ std::vector<Level> SupportedLevels() {
 Level ActiveLevel() {
   int v = g_active_level.load(std::memory_order_acquire);
   if (v < 0) {
-    v = static_cast<int>(Resolve());
+    v = static_cast<int>(BestSupportedLevel());
     g_active_level.store(v, std::memory_order_release);
   }
   return static_cast<Level>(v);
@@ -822,29 +506,12 @@ Level SetLevelForTest(Level level) {
   return previous;
 }
 
-Level ReinitFromEnv() {
-  g_active_level.store(static_cast<int>(Resolve()), std::memory_order_release);
-  return ActiveLevel();
-}
-
 const KernelTable& KernelsFor(Level level) {
   if (!LevelSupported(level)) return kScalarTable;
-  switch (level) {
-    case Level::kScalar:
-      return kScalarTable;
 #if LQO_SIMD_X86
-    case Level::kSse:
-      return kSseTable;
-    case Level::kAvx2:
-      return kAvx2Table;
+  if (level == Level::kAvx2) return kAvx2Table;
 #endif
-#if LQO_SIMD_NEON
-    case Level::kNeon:
-      return kNeonTable;
-#endif
-    default:
-      return kScalarTable;
-  }
+  return kScalarTable;
 }
 
 const KernelTable& Kernels() { return KernelsFor(ActiveLevel()); }

@@ -12,42 +12,36 @@ namespace lqo::simd {
 ///
 /// Every data-path kernel the executor runs per batch — the Eq/Range/In
 /// selection kernels of engine/filter_kernels.h and the column-wise join-key
-/// hashing of engine/executor.cc — exists here in up to four variants, one
-/// per instruction-set level:
+/// hashing of engine/executor.cc — exists here in two variants, one per
+/// instruction-set level:
 ///
-///   kScalar  — plain C++ loops; the *definitional reference*. Every other
-///              level must produce bit-identical outputs (same survivors in
-///              the same order, same hash words) on every input.
-///   kSse     — 2 × int64 lanes over SSE4.2 (x86-64).
+///   kScalar  — plain C++ loops; the *definitional reference*, and the only
+///              level on CPUs without AVX2 and on non-x86 CPUs. AVX2 must
+///              produce bit-identical outputs (same survivors in the same
+///              order, same hash words) on every input.
 ///   kAvx2    — 4 × int64 lanes over AVX2, processed as 8-row groups:
 ///              two compares → combined 8-bit movemask → compressed-store
 ///              via a 256-entry vpermd permutation table (x86-64).
-///   kNeon    — 2 × int64 lanes over NEON for the dense filter kernels
-///              (AArch64); remaining entries fall back to scalar.
+///
+/// A level is kept only while a committed benchmark shows it pays and this
+/// build can test it (DESIGN.md "SIMD dispatch").
 ///
 /// Dispatch is one-time and process-wide: the first call to ActiveLevel()
 /// (or Kernels()) probes the CPU via __builtin_cpu_supports and caches the
 /// best supported level; all kernel entry points are plain function
 /// pointers in a per-level KernelTable, so steady-state dispatch is one
-/// indirect call per *batch*, never per row. The environment variable
-/// `LQO_SIMD=scalar|sse|avx2|neon` overrides detection for A/B benches and
-/// determinism tests (an unsupported request clamps to the best supported
-/// level). Because every level is bit-identical by contract, the choice can
-/// never change ExecutionResult — the determinism fingerprint in
-/// bench_parallel_scaling's `simd_kernels` site enforces this across
-/// LQO_SIMD levels × LQO_THREADS.
+/// indirect call per *batch*, never per row. There is no runtime override:
+/// tests and benches pin a level with SetLevelForTest(). Because both levels
+/// are bit-identical by contract, the choice can never change
+/// ExecutionResult — the determinism fingerprint in bench_parallel_scaling's
+/// `simd_kernels` site enforces this across levels × LQO_THREADS.
 
-// Instruction-set levels, ordered by preference within an architecture.
-enum class Level : int { kScalar = 0, kSse = 1, kAvx2 = 2, kNeon = 3 };
-inline constexpr int kNumLevels = 4;
+// Instruction-set levels, ordered by preference.
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
+inline constexpr int kNumLevels = 2;
 
-/// Lowercase spelling used by LQO_SIMD and the bench JSON ("scalar", "sse",
-/// "avx2", "neon").
+/// Lowercase spelling used by the bench JSON ("scalar", "avx2").
 const char* LevelName(Level level);
-
-/// Parses an LQO_SIMD spelling; returns false (leaving *out untouched) on
-/// anything unrecognized.
-bool ParseLevel(const char* name, Level* out);
 
 /// True when this process can execute `level`'s kernels on this CPU.
 /// kScalar is always supported.
@@ -61,7 +55,7 @@ Level BestSupportedLevel();
 std::vector<Level> SupportedLevels();
 
 /// The level the process-wide kernel table currently dispatches to.
-/// First call resolves LQO_SIMD / CPU detection and caches the result.
+/// First call resolves CPU detection and caches the result.
 Level ActiveLevel();
 
 /// Forces the active level (clamped to a supported one); returns the
@@ -69,11 +63,6 @@ Level ActiveLevel();
 /// against concurrent kernel execution — call from a serial section only,
 /// as the Simd* tests and the simd_kernels bench site do.
 Level SetLevelForTest(Level level);
-
-/// Drops the cached level and re-resolves from LQO_SIMD + CPU detection;
-/// returns the new active level. Exists so tests can exercise the
-/// environment override path after setenv().
-Level ReinitFromEnv();
 
 /// One function pointer per hot kernel. Filter kernels share the exact
 /// contract of engine/filter_kernels.h: write survivor row ids (ascending)
@@ -116,7 +105,7 @@ const KernelTable& Kernels();
 const KernelTable& KernelsFor(Level level);
 
 // -- Scalar hash steps (the definitional reference the scalar kernel level
-//    is built from; every SIMD level reproduces them bit for bit). --
+//    is built from; the AVX2 level reproduces them bit for bit). --
 
 /// FNV-ish mix; good enough for join bucketing (equality is verified).
 inline uint64_t HashCombine(uint64_t h, int64_t v) {

@@ -66,11 +66,14 @@ bool PlanCache::TryInstall(uint64_t type, uint32_t generation,
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   TypeState& state = shard.entries[type];
   // The optimistic token from Lookup must still be current. A mismatch means
-  // the plan was produced against a generation the drift detector has since
+  // the plan was produced against a generation that has since been
   // invalidated — installing it would resurrect the evicted plan, so the
-  // protocol violation is fatal rather than silently cached.
-  LQO_CHECK_EQ(generation, state.generation)
-      << "stale plan install after invalidation (type " << type << ")";
+  // install loses like any other race and the type stays uncached until the
+  // next miss re-plans it.
+  if (generation != state.generation) {
+    install_races_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   if (state.always_optimize) {
     // Demotion raced ahead of this planner; drop the plan, keep the demotion.
     install_races_.fetch_add(1, std::memory_order_relaxed);

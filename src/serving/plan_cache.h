@@ -52,7 +52,7 @@ struct PlanCacheStats {
   uint64_t misses = 0;
   uint64_t volatile_skips = 0;  // lookups of demoted (always-optimize) types
   uint64_t installs = 0;
-  uint64_t install_races = 0;  // TryInstall lost to an earlier writer
+  uint64_t install_races = 0;  // TryInstall lost (writer, demotion, stale)
   uint64_t invalidations = 0;  // drift-triggered generation bumps
   uint64_t demotions = 0;      // types demoted to always-optimize
   uint64_t observations = 0;   // feedback folds accepted
@@ -66,7 +66,7 @@ struct PlanCacheStats {
 /// Outcome of one cache lookup. `generation` must be echoed into TryInstall
 /// and Observe: it is the optimistic-concurrency token that makes a stale
 /// install (planned against a generation that has since been invalidated)
-/// detectable — and fatal, see TryInstall.
+/// detectable, so TryInstall can refuse it.
 struct PlanCacheLookup {
   bool hit = false;
   /// Demoted type: the caller must optimize and must NOT install.
@@ -99,15 +99,18 @@ enum class PlanObserveOutcome {
 /// handed out as a shared_ptr to an immutable node tree, so it stays valid
 /// across invalidation). TryInstall/Observe take the shard's exclusive lock.
 /// First writer wins on install; racing installers of the same (type,
-/// generation) lose gracefully (install_races).
+/// generation), and installers holding a stale generation, lose gracefully
+/// (install_races).
 ///
 /// Generations: every entry carries a generation counter bumped on each
-/// invalidation. Lookup returns the generation; TryInstall CHECK-fails when
-/// handed a stale one — installing a plan that was produced against an
+/// invalidation. Lookup returns the generation; TryInstall refuses a stale
+/// one and returns false — installing a plan that was produced against an
 /// already-invalidated generation would resurrect exactly the plan the
-/// drift detector evicted, so the protocol violation is fatal rather than
-/// silent. Observe with a stale generation is the benign twin (feedback for
-/// an evicted plan) and is dropped.
+/// drift detector (or an Invalidate call) evicted. Invalidate is public and
+/// the cache serves concurrent callers, so an invalidation landing between
+/// one caller's Lookup and its TryInstall is an ordinary race, counted in
+/// install_races. Observe with a stale generation is the same case for
+/// feedback (a plan no longer resident) and is dropped.
 ///
 /// Learned invalidation: Observe folds (observed rows, latency) per type and
 /// every `drift_window` observations takes a majority vote of per-observation
@@ -135,10 +138,11 @@ class PlanCache {
 
   /// Installs `plan`'s tree for `type` under optimistic token `generation`
   /// (from Lookup). First writer wins: returns true when this call
-  /// installed, false when a plan was already resident (install_races).
-  /// `estimated_rows` is the planner's estimate of the result cardinality
-  /// (<= 0 when unavailable; drift checks then use latency only).
-  /// CHECK-fails on a stale generation — see the class comment.
+  /// installed, false when a plan was already resident, the type was
+  /// demoted, or `generation` is stale (all counted in install_races; the
+  /// type keeps its state). `estimated_rows` is the planner's estimate of
+  /// the result cardinality (<= 0 when unavailable; drift checks then use
+  /// latency only).
   bool TryInstall(uint64_t type, uint32_t generation, const PhysicalPlan& plan,
                   double estimated_rows);
 

@@ -1,7 +1,7 @@
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -603,9 +603,9 @@ TEST(VectorizedJoinTest, MatchesScalarBitForBitAcrossThreads) {
   }
 }
 
-// --- SIMD dispatch layer: level detection, LQO_SIMD override, per-level
-// kernel bit-equality, and the real merge/NLJ join paths (DESIGN.md
-// "Vectorized execution" → "SIMD dispatch"). ------------------------------
+// --- SIMD dispatch layer: level detection, per-level kernel bit-equality,
+// and the real merge/NLJ join paths (DESIGN.md "Vectorized execution" →
+// "SIMD dispatch"). ---------------------------------------------------------
 
 TEST(SimdDispatchTest, SupportedLevelsAndNames) {
   std::vector<simd::Level> levels = simd::SupportedLevels();
@@ -616,27 +616,8 @@ TEST(SimdDispatchTest, SupportedLevelsAndNames) {
     EXPECT_TRUE(simd::LevelSupported(levels[i]));
   }
   EXPECT_TRUE(simd::LevelSupported(simd::BestSupportedLevel()));
-  for (simd::Level level : levels) {
-    simd::Level parsed;
-    ASSERT_TRUE(simd::ParseLevel(simd::LevelName(level), &parsed));
-    EXPECT_EQ(parsed, level);
-  }
-  simd::Level unused;
-  EXPECT_FALSE(simd::ParseLevel("avx512", &unused));
-  EXPECT_FALSE(simd::ParseLevel("", &unused));
-}
-
-TEST(SimdDispatchTest, EnvOverrideHonored) {
-  simd::Level entry = simd::ActiveLevel();
-  ASSERT_EQ(setenv("LQO_SIMD", "scalar", 1), 0);
-  EXPECT_EQ(simd::ReinitFromEnv(), simd::Level::kScalar);
-  EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
-  // An unrecognized spelling falls back to plain detection.
-  ASSERT_EQ(setenv("LQO_SIMD", "bogus", 1), 0);
-  EXPECT_EQ(simd::ReinitFromEnv(), simd::BestSupportedLevel());
-  ASSERT_EQ(unsetenv("LQO_SIMD"), 0);
-  EXPECT_EQ(simd::ReinitFromEnv(), simd::BestSupportedLevel());
-  simd::SetLevelForTest(entry);
+  EXPECT_STREQ(simd::LevelName(simd::Level::kScalar), "scalar");
+  EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
 }
 
 TEST(SimdDispatchTest, SetLevelForTestClampsUnsupported) {
@@ -658,17 +639,30 @@ TEST(SimdDispatchTest, SetLevelForTestClampsUnsupported) {
 
 // Every supported level must produce byte-identical survivor vectors and
 // hash words on lane-width edge cases: empty inputs, single rows, sizes
-// straddling multiples of the 2/4/8-row lane groups, and selections that
-// keep everything or nothing (compressed-store full/empty masks).
+// straddling multiples of the 4/8-row lane groups, and selections that
+// keep everything or nothing (compressed-store full/empty masks). A second,
+// mixed-sign column holds INT64_MIN/INT64_MAX so the signed compares meet
+// scalar at the extremes: full-domain, negative and empty (lo > hi) ranges,
+// and an IN list of negative values.
 TEST(SimdKernelTest, AllLevelsMatchScalarOnEdgeSizes) {
   const simd::KernelTable& ref = simd::KernelsFor(simd::Level::kScalar);
-  std::vector<int64_t> needles = {3, 5, 8, 13, 21, 34, 55, 89};
+  const std::vector<int64_t> small_in = {3, 5, 8, 13, 21, 34, 55, 89};
+  const std::vector<int64_t> negative_in = {INT64_MIN, -40, -17, -3, 0,
+                                            INT64_MAX};
+  const int64_t eq_values[] = {42, -7, INT64_MIN, INT64_MAX};
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {20, 60},  {-5, 1000}, {200, 300},  {INT64_MIN, INT64_MAX},
+      {-30, -2}, {60, 20},   {INT64_MIN, INT64_MIN}};
+  const int64_t extremes[] = {INT64_MIN, INT64_MAX, INT64_MIN + 1,
+                              INT64_MAX - 1};
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
                    size_t{7}, size_t{8}, size_t{9}, size_t{1023},
                    size_t{1024}, size_t{1025}, size_t{8193}}) {
-    std::vector<int64_t> col(n);
+    std::vector<int64_t> small(n);
+    std::vector<int64_t> mixed(n);
     for (size_t i = 0; i < n; ++i) {
-      col[i] = static_cast<int64_t>((i * 31 + 7) % 97);
+      small[i] = static_cast<int64_t>((i * 31 + 7) % 97);
+      mixed[i] = i % 5 == 0 ? extremes[(i / 5) % 4] : small[i] - 48;
     }
     // Selection of every third row, plus empty and full selections.
     std::vector<uint32_t> third;
@@ -677,57 +671,67 @@ TEST(SimdKernelTest, AllLevelsMatchScalarOnEdgeSizes) {
     for (uint32_t r = 0; r < n; ++r) full[r] = r;
     std::vector<uint32_t> want(n + 1);
     std::vector<uint32_t> got(n + 1);
-    std::vector<uint64_t> want_hash(n, 0x12345678u);
-    std::vector<uint64_t> got_hash(n);
-    ref.hash_combine_column(want_hash.data(), col.data(), 0, n);
-    ref.hash_finalize(want_hash.data(), 0, n);
-    for (simd::Level level : simd::SupportedLevels()) {
-      if (level == simd::Level::kScalar) continue;
-      const simd::KernelTable& kt = simd::KernelsFor(level);
-      SCOPED_TRACE(std::string("level=") + simd::LevelName(level) +
-                   " n=" + std::to_string(n));
-      auto check = [&](size_t want_count, size_t got_count) {
-        ASSERT_EQ(want_count, got_count);
-        for (size_t i = 0; i < want_count; ++i) {
-          ASSERT_EQ(want[i], got[i]) << "survivor " << i;
+    for (const std::vector<int64_t>* col : {&small, &mixed}) {
+      const int64_t* c = col->data();
+      std::vector<uint64_t> want_hash(n, 0x12345678u);
+      std::vector<uint64_t> got_hash(n);
+      ref.hash_combine_column(want_hash.data(), c, 0, n);
+      ref.hash_finalize(want_hash.data(), 0, n);
+      for (simd::Level level : simd::SupportedLevels()) {
+        if (level == simd::Level::kScalar) continue;
+        const simd::KernelTable& kt = simd::KernelsFor(level);
+        SCOPED_TRACE(std::string("level=") + simd::LevelName(level) +
+                     " n=" + std::to_string(n) +
+                     (col == &mixed ? " mixed" : " small"));
+        auto check = [&](size_t want_count, size_t got_count) {
+          ASSERT_EQ(want_count, got_count);
+          for (size_t i = 0; i < want_count; ++i) {
+            ASSERT_EQ(want[i], got[i]) << "survivor " << i;
+          }
+        };
+        uint32_t un = static_cast<uint32_t>(n);
+        for (int64_t v : eq_values) {
+          check(ref.filter_eq_dense(c, 0, un, v, want.data()),
+                kt.filter_eq_dense(c, 0, un, v, got.data()));
+          for (const std::vector<uint32_t>* sel : {&third, &full}) {
+            check(ref.filter_eq_sel(c, sel->data(), sel->size(), v,
+                                    want.data()),
+                  kt.filter_eq_sel(c, sel->data(), sel->size(), v,
+                                   got.data()));
+          }
         }
-      };
-      uint32_t un = static_cast<uint32_t>(n);
-      check(ref.filter_eq_dense(col.data(), 0, un, 42, want.data()),
-            kt.filter_eq_dense(col.data(), 0, un, 42, got.data()));
-      check(ref.filter_range_dense(col.data(), 0, un, 20, 60, want.data()),
-            kt.filter_range_dense(col.data(), 0, un, 20, 60, got.data()));
-      // Select-everything and select-nothing ranges (full/empty masks).
-      check(ref.filter_range_dense(col.data(), 0, un, -5, 1000, want.data()),
-            kt.filter_range_dense(col.data(), 0, un, -5, 1000, got.data()));
-      check(ref.filter_range_dense(col.data(), 0, un, 200, 300, want.data()),
-            kt.filter_range_dense(col.data(), 0, un, 200, 300, got.data()));
-      check(ref.filter_in_dense(col.data(), 0, un, needles.data(),
-                                needles.size(), want.data()),
-            kt.filter_in_dense(col.data(), 0, un, needles.data(),
-                               needles.size(), got.data()));
-      for (const std::vector<uint32_t>* sel : {&third, &full}) {
-        check(ref.filter_eq_sel(col.data(), sel->data(), sel->size(), 42,
-                                want.data()),
-              kt.filter_eq_sel(col.data(), sel->data(), sel->size(), 42,
-                               got.data()));
-        check(ref.filter_range_sel(col.data(), sel->data(), sel->size(), 20,
-                                   60, want.data()),
-              kt.filter_range_sel(col.data(), sel->data(), sel->size(), 20,
-                                  60, got.data()));
-        check(ref.filter_in_sel(col.data(), sel->data(), sel->size(),
-                                needles.data(), needles.size(), want.data()),
-              kt.filter_in_sel(col.data(), sel->data(), sel->size(),
-                               needles.data(), needles.size(), got.data()));
-      }
-      // Empty selection.
-      EXPECT_EQ(kt.filter_eq_sel(col.data(), full.data(), 0, 42, got.data()),
-                0u);
-      std::fill(got_hash.begin(), got_hash.end(), 0x12345678u);
-      kt.hash_combine_column(got_hash.data(), col.data(), 0, n);
-      kt.hash_finalize(got_hash.data(), 0, n);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(want_hash[i], got_hash[i]) << "hash word " << i;
+        for (auto [lo, hi] : ranges) {
+          SCOPED_TRACE("range [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]");
+          check(ref.filter_range_dense(c, 0, un, lo, hi, want.data()),
+                kt.filter_range_dense(c, 0, un, lo, hi, got.data()));
+          for (const std::vector<uint32_t>* sel : {&third, &full}) {
+            check(ref.filter_range_sel(c, sel->data(), sel->size(), lo, hi,
+                                       want.data()),
+                  kt.filter_range_sel(c, sel->data(), sel->size(), lo, hi,
+                                      got.data()));
+          }
+        }
+        for (const std::vector<int64_t>* in : {&small_in, &negative_in}) {
+          check(ref.filter_in_dense(c, 0, un, in->data(), in->size(),
+                                    want.data()),
+                kt.filter_in_dense(c, 0, un, in->data(), in->size(),
+                                   got.data()));
+          for (const std::vector<uint32_t>* sel : {&third, &full}) {
+            check(ref.filter_in_sel(c, sel->data(), sel->size(), in->data(),
+                                    in->size(), want.data()),
+                  kt.filter_in_sel(c, sel->data(), sel->size(), in->data(),
+                                   in->size(), got.data()));
+          }
+        }
+        // Empty selection.
+        EXPECT_EQ(kt.filter_eq_sel(c, full.data(), 0, 42, got.data()), 0u);
+        std::fill(got_hash.begin(), got_hash.end(), 0x12345678u);
+        kt.hash_combine_column(got_hash.data(), c, 0, n);
+        kt.hash_finalize(got_hash.data(), 0, n);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(want_hash[i], got_hash[i]) << "hash word " << i;
+        }
       }
     }
   }
@@ -839,6 +843,7 @@ TEST(AggregateKernelTest, AllLevelsMatchScalarAtBoundarySizes) {
       // Mixed signs, and huge values so multi-element sums wrap uint64.
       col[i] = static_cast<int64_t>((i * 31 + 7) % 97) - 48;
       if (i % 11 == 0) col[i] = INT64_MAX - static_cast<int64_t>(i);
+      if (i % 13 == 6) col[i] = INT64_MIN;  // MIN at its extreme
     }
     std::vector<uint32_t> third;
     for (uint32_t r = 0; r < n; r += 3) third.push_back(r);
@@ -866,6 +871,11 @@ TEST(AggregateKernelTest, AllLevelsMatchScalarAtBoundarySizes) {
                   kt.min_sel(col.data(), sel->data(), sel->size()));
         EXPECT_EQ(ref.max_sel(col.data(), sel->data(), sel->size()),
                   kt.max_sel(col.data(), sel->data(), sel->size()));
+      }
+      if (n > 6) {
+        EXPECT_EQ(kt.min_dense(col.data(), 0, un), INT64_MIN);
+        EXPECT_EQ(kt.min_sel(col.data(), third.data(), third.size()),
+                  INT64_MIN);
       }
       // Empty inputs return the fold identities at every level.
       EXPECT_EQ(kt.sum_dense(col.data(), un, un), 0u);

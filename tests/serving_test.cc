@@ -335,7 +335,7 @@ TEST_F(ServingTest, LatencyCvDemotesParameterSensitiveTypes) {
   EXPECT_EQ(cache.Stats().demotions, 1u);
 }
 
-TEST_F(ServingTest, StaleObserveIsBenignStaleInstallIsFatal) {
+TEST_F(ServingTest, StaleObserveAndStaleInstallAreDropped) {
   PlanCache cache;
   const uint64_t type = 10;
   PhysicalPlan plan = PlanOf(templates_[0]);
@@ -349,9 +349,23 @@ TEST_F(ServingTest, StaleObserveIsBenignStaleInstallIsFatal) {
   EXPECT_EQ(cache.Stats().stale_feedback, 1u);
 
   // Installing against the evicted generation would resurrect the plan the
-  // drift detector just removed: protocol violation, fatal.
-  EXPECT_DEATH(cache.TryInstall(type, before.generation, plan, 10.0),
-               "stale plan install");
+  // invalidation just removed. An invalidation between a caller's Lookup
+  // and its TryInstall is an ordinary race: the install loses, is counted,
+  // and the type stays uncached.
+  PlanCacheStats races_before = cache.Stats();
+  EXPECT_FALSE(cache.TryInstall(type, before.generation, plan, 10.0));
+  PlanCacheStats delta = cache.Stats() - races_before;
+  EXPECT_EQ(delta.install_races, 1u);
+  EXPECT_EQ(delta.installs, 0u);
+  EXPECT_EQ(cache.Stats().cached_plans, 0u);
+  PlanCacheLookup after = cache.Lookup(type);
+  EXPECT_FALSE(after.hit);
+  EXPECT_EQ(after.root, nullptr);
+  EXPECT_NE(after.generation, before.generation);
+
+  // The next miss re-plans under the current generation and installs.
+  EXPECT_TRUE(cache.TryInstall(type, after.generation, plan, 10.0));
+  EXPECT_TRUE(cache.Lookup(type).hit);
 }
 
 TEST_F(ServingTest, FrontEndServesAndTagsTypesPerProducer) {

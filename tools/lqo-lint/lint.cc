@@ -703,8 +703,9 @@ class Linter {
   // engine/simd.{h,cc} and the aggregation kernels in
   // engine/agg_kernels.{h,cc}, which follow the identical per-level
   // table/ActiveLevel() discipline — everywhere else must go through a
-  // dispatched kernel table, so every kernel has a scalar reference,
-  // per-level bit-equality coverage, and an LQO_SIMD off-switch.
+  // dispatched kernel table, so every kernel has a scalar reference and
+  // per-level bit-equality coverage, and can be pinned to scalar through
+  // simd::SetLevelForTest for A/B runs.
   void CheckRawIntrinsics() {
     if (input_.path.find("engine/simd.") != std::string::npos) return;
     if (input_.path.find("engine/agg_kernels.") != std::string::npos) return;

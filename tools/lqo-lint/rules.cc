@@ -140,17 +140,17 @@ const std::vector<Rule>& Catalog() {
        "// lint: raw-intrinsics-ok(<reason>)",
        "All explicit SIMD lives behind the dispatch layer in\n"
        "src/engine/simd.h: per-ISA kernels registered in a KernelTable,\n"
-       "resolved once at runtime from CPU detection or LQO_SIMD, with the\n"
-       "scalar level as the bit-identical definitional reference. The\n"
+       "resolved once at runtime from CPU detection, with the scalar\n"
+       "level as the bit-identical definitional reference. The\n"
        "aggregation kernels in src/engine/agg_kernels.* follow the same\n"
        "per-level table/ActiveLevel() discipline and are part of the\n"
        "dispatch layer. Intrinsic headers (<immintrin.h>, <arm_neon.h>,\n"
        "...) or intrinsic calls (_mm_/_mm256_/_mm512_/vld1q_...) anywhere\n"
        "else bypass that contract: the code compiles only on one ISA,\n"
-       "dodges the per-level bit-equality tests, and cannot be A/B'd or\n"
-       "disabled via LQO_SIMD. Add a kernel to one of the dispatch tables\n"
-       "instead, or waive a deliberate exception with\n"
-       "// lint: raw-intrinsics-ok(<reason>)."},
+       "dodges the per-level bit-equality tests, and cannot be A/B'd\n"
+       "against the scalar reference with simd::SetLevelForTest. Add a\n"
+       "kernel to one of the dispatch tables instead, or waive a\n"
+       "deliberate exception with // lint: raw-intrinsics-ok(<reason>)."},
       {"using-namespace-header", "hygiene", Severity::kError,
        "using namespace at header scope",
        "// lint: using-namespace-header-ok(<reason>)",
