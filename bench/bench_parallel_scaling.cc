@@ -26,7 +26,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "e2e/lero.h"
 #include "engine/executor.h"
 #include "engine/simd.h"
 #include "ml/chow_liu.h"
@@ -105,7 +104,7 @@ SiteReport RunSite(const std::string& name, const std::vector<int>& counts,
   return report;
 }
 
-// Site 11 (also standalone via --simd-only): the explicit SIMD kernel layer
+// Site 10 (also standalone via --simd-only): the explicit SIMD kernel layer
 // of engine/simd.h and the executor plans it feeds. Three jobs:
 //   1. Determinism fingerprint: scan/filter, hash-join, merge-join, NLJ and
 //      3-way chain hash-join plans executed at every supported SIMD level
@@ -406,7 +405,7 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
 #endif
 }
 
-// Site 12 (also standalone via --agg-only): the late-materialization output
+// Site 11 (also standalone via --agg-only): the late-materialization output
 // pipeline (DESIGN.md "Late materialization & output pipeline"). Two jobs:
 //   1. Determinism fingerprint: grouped aggregation over a scan, grouped
 //      aggregation over a hash join (deferred row-id probe feeding the
@@ -709,7 +708,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Sites 4-7 ride on a chain catalog big enough to clear the executor's
+  // Sites 4-6 ride on a chain catalog big enough to clear the executor's
   // and SPN's input-size gates (20k rows/table >> the 8192/512 thresholds).
   Catalog chain = MakeChainSchema(5, 20000);
 
@@ -777,21 +776,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Site 7: batched candidate costing — Lero plans every scale factor
-  // against per-factor views of one frozen provider.
-  reports.push_back(RunSite("lero_costing", counts, [&] {
-    LeroOptimizer lero(lab->Context());
-    std::string fingerprint;
-    for (const Query& q : workload.queries) {
-      for (const PhysicalPlan& plan : lero.Candidates(q)) {
-        fingerprint += plan.Signature();
-        fingerprint += ';';
-      }
-    }
-    return fingerprint;
-  }));
-
-  // Site 8: batched model inference — one PredictBatch pass over a shared
+  // Site 7: batched model inference — one PredictBatch pass over a shared
   // feature matrix for every model family (SoA tree kernels, blocked MLP
   // forward), morsel-chunked across the pool. The fingerprint sums every
   // prediction, so any thread-count-dependent reordering of the batch path
@@ -894,7 +879,7 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  // Site 9: plan-signature feature cache — a cold epoch of concurrent
+  // Site 8: plan-signature feature cache — a cold epoch of concurrent
   // inserts then a warm epoch of concurrent hits. The fingerprint sums the
   // served feature values, so a cache bug (wrong row for a key, torn
   // write, stale serve) breaks determinism rather than just throughput.
@@ -971,7 +956,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cache_stats.misses));
   }
 
-  // Site 10: compact quantized forest layout vs the SoA arrays on an
+  // Site 9: compact quantized forest layout vs the SoA arrays on an
   // ensemble far past L2 residence. ConfigureCompact flips layouts on the
   // same fitted model; the RunSite fingerprint must be identical at every
   // thread count because thresholds are quantized at build time.
@@ -1033,11 +1018,11 @@ int main(int argc, char** argv) {
                  compact_total_nodes, compact_bytes);
   }
 
-  // Site 11: SIMD kernel layer (levels x threads determinism cube,
+  // Site 10: SIMD kernel layer (levels x threads determinism cube,
   // per-family throughput, BENCH_simd.json, 1.3x filter floor).
   RunSimdKernelsSite(counts, hw, &reports);
 
-  // Site 12: late-materialization output pipeline (grouped aggregation +
+  // Site 11: late-materialization output pipeline (grouped aggregation +
   // projection determinism cube, per-shape throughput, BENCH_agg.json).
   RunAggProjectionSite(counts, hw, &reports);
 

@@ -172,7 +172,7 @@ bool RunDeterminismSite(const Lab& lab, const std::vector<Query>& templates,
       PlanCache cache;
       ServingFrontEnd front_end(&cache, family.producer.get(),
                                 lab.executor.get());
-      SessionReport report = DriveSessions(front_end, queries, sopts);
+      SessionReport report = DriveSessions(front_end, queries, sopts).value();
       std::fprintf(stderr,
                    "  determinism %-6s %d threads: fp=%016llx hits=%llu "
                    "inval=%llu demo=%llu\n",
@@ -237,13 +237,14 @@ FamilyReport RunFamily(const Lab& lab, const std::string& name,
     PlanCache cache;
     ServingFrontEnd front_end(&cache, family.producer.get(),
                               lab.executor.get());
-    report.cold = DriveSessions(front_end, steady_queries, steady);
-    report.warm = DriveSessions(front_end, steady_queries, steady);
+    report.cold = DriveSessions(front_end, steady_queries, steady).value();
+    report.warm = DriveSessions(front_end, steady_queries, steady).value();
   }
   {
     ServingFrontEnd baseline_fe(nullptr, family.producer.get(),
                                 lab.executor.get());
-    report.baseline = DriveSessions(baseline_fe, steady_queries, steady);
+    report.baseline =
+        DriveSessions(baseline_fe, steady_queries, steady).value();
   }
   report.cold_lat = LatenciesOf(report.cold.serve_seconds);
   report.warm_lat = LatenciesOf(report.warm.serve_seconds);
@@ -262,8 +263,10 @@ FamilyReport RunFamily(const Lab& lab, const std::string& name,
     PlanCache cache;
     ServingFrontEnd front_end(&cache, family.producer.get(),
                               lab.executor.get());
-    SessionReport r = DriveSessions(
-        front_end, BuildSessionQueries(lab.catalog, templates, drift), drift);
+    SessionReport r =
+        DriveSessions(front_end,
+                      BuildSessionQueries(lab.catalog, templates, drift), drift)
+            .value();
     report.drift_invalidations = r.invalidations;
   }
 
@@ -279,9 +282,11 @@ FamilyReport RunFamily(const Lab& lab, const std::string& name,
     PlanCache cache;
     ServingFrontEnd front_end(&cache, family.producer.get(),
                               lab.executor.get());
-    SessionReport r = DriveSessions(
-        front_end, BuildSessionQueries(lab.catalog, templates, sensitive),
-        sensitive);
+    SessionReport r =
+        DriveSessions(front_end,
+                      BuildSessionQueries(lab.catalog, templates, sensitive),
+                      sensitive)
+            .value();
     report.sensitive_demotions = r.demotions;
   }
 

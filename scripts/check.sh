@@ -107,7 +107,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
 # Planner gate, under TSan + 4 threads: DPccp against the submask DP oracle
 # (bit-identical plans, costs, combination counts and estimator call order),
-# including Bao's hint arms planning concurrently on one frozen provider.
+# including Bao's hint arms sharing one provider.
 "$BUILD_DIR"/tests/planner_oracle_test
 
 # Serving front end determinism site, under TSan: replays concurrent

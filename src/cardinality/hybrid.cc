@@ -57,8 +57,8 @@ std::vector<double> UaeEstimator::EstimateSubqueryBatch(
   // Data-model estimates and featurization are both per-row and
   // re-entrant, so they share one index-addressed parallel sweep; the
   // corrector then scores the whole matrix in one batched pass. Uses
-  // member scratch: one batch call at a time (concurrent callers use the
-  // scalar EstimateSubquery).
+  // member scratch: one batch call at a time (concurrent planners reach
+  // the estimator through the re-entrant scalar EstimateSubquery).
   batch_scratch_.Reset(featurizer_.dim());
   batch_scratch_.Reserve(subqueries.size());
   for (size_t i = 0; i < subqueries.size(); ++i) batch_scratch_.AppendRow();

@@ -142,7 +142,7 @@ std::vector<double> QueryDrivenEstimator::EstimateSubqueryBatch(
   // Featurize the whole batch into one reusable matrix (parallel,
   // index-addressed rows), run one batched model pass, then apply the
   // scalar path's clamp/exp per row. Uses member scratch: one batch call
-  // at a time (the concurrent frozen-provider path uses the scalar
+  // at a time (concurrent planners reach the estimator through the scalar
   // EstimateSubquery, which stays re-entrant).
   batch_scratch_.Reset(featurizer_.dim());
   batch_scratch_.Reserve(subqueries.size());

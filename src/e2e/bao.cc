@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace lqo {
 
@@ -27,26 +26,18 @@ BaoOptimizer::BaoOptimizer(const E2eContext& context, BaoOptions options)
 }
 
 std::vector<PhysicalPlan> BaoOptimizer::Candidates(const Query& query) {
-  // Batched candidate costing: every arm plans against one frozen provider,
-  // so the per-subquery estimates are derived once and shared concurrently
-  // across arms instead of re-planned serially behind a private cache.
+  // Every arm plans against one provider, so each sub-query estimate is
+  // derived once and shared across arms. Arm-usefulness bookkeeping and
+  // signature dedup depend on arm order.
   CardinalityProvider cards(context_.estimator);
-  cards.Freeze();
-  std::vector<PhysicalPlan> plans =
-      ParallelMap(arms_.size(), [&](size_t a) {
-        PhysicalPlan plan =
-            context_.optimizer->Optimize(query, &cards, arms_[a]).plan;
-        AnnotateWithProvider(context_, &plan, &cards);
-        return plan;
-      });
-  // Serial reduction in arm order: arm-usefulness bookkeeping and signature
-  // dedup are order-dependent, so they stay a serial pass over the
-  // index-addressed results (identical to the old one-arm-at-a-time walk).
   std::vector<PhysicalPlan> candidates;
   std::set<std::string> seen;
   std::string default_signature;
   for (size_t a = 0; a < arms_.size(); ++a) {
-    std::string signature = plans[a].Signature();
+    PhysicalPlan plan =
+        context_.optimizer->Optimize(query, &cards, arms_[a]).plan;
+    AnnotateWithProvider(context_, &plan, &cards);
+    std::string signature = plan.Signature();
     if (arms_[a].enable_hash_join && arms_[a].enable_nested_loop &&
         arms_[a].enable_merge_join) {
       default_signature = signature;
@@ -55,7 +46,7 @@ std::vector<PhysicalPlan> BaoOptimizer::Candidates(const Query& query) {
       arm_useful_[a] = true;
     }
     if (!seen.insert(signature).second) continue;
-    candidates.push_back(std::move(plans[a]));
+    candidates.push_back(std::move(plan));
   }
   return candidates;
 }

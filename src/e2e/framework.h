@@ -123,10 +123,9 @@ PhysicalPlan NativePlan(const E2eContext& context, const Query& query);
 /// risk-model features are computed consistently across candidates.
 void AnnotateWithBaseline(const E2eContext& context, PhysicalPlan* plan);
 
-/// As AnnotateWithBaseline, but against a caller-supplied provider. Pass a
-/// *frozen* provider when annotating a batch of candidates from parallel
-/// tasks: they then share one concurrent-read cache instead of re-deriving
-/// every estimate per plan (see CardinalityProvider's freeze contract).
+/// As AnnotateWithBaseline, but against a caller-supplied provider. Pass
+/// one provider for all of a query's candidates so they share one memo
+/// instead of re-deriving every estimate per plan.
 void AnnotateWithProvider(const E2eContext& context, PhysicalPlan* plan,
                           CardinalityProvider* cards);
 

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/stats_util.h"
-#include "common/thread_pool.h"
 #include "costmodel/plan_featurizer.h"
 
 namespace lqo {
@@ -17,27 +16,18 @@ HyperQoOptimizer::HyperQoOptimizer(const E2eContext& context,
     : context_(context), options_(options) {}
 
 std::vector<PhysicalPlan> HyperQoOptimizer::Candidates(const Query& query) {
-  // Batched candidate costing: the native plan plus one leading hint per
-  // driving table, all planned concurrently against one frozen provider so
-  // every candidate shares the same estimate cache.
+  // The native plan plus one leading hint per driving table, all planned
+  // against one provider so every candidate shares the same estimate cache.
+  // Signature dedup keeps the first of each plan in that order.
   CardinalityProvider cards(context_.estimator);
-  cards.Freeze();
-  size_t n = static_cast<size_t>(query.num_tables());
-  std::vector<PhysicalPlan> plans =
-      ParallelMap(n + 1, [&](size_t i) {
-        HintSet hints;
-        if (i > 0) hints.leading = {static_cast<int>(i) - 1};
-        PhysicalPlan plan =
-            context_.optimizer->Optimize(query, &cards, hints).plan;
-        AnnotateWithProvider(context_, &plan, &cards);
-        return plan;
-      });
-
-  // Serial signature dedup in the old emission order (native first, then
-  // driving tables in index order).
   std::vector<PhysicalPlan> candidates;
   std::set<std::string> seen;
-  for (PhysicalPlan& plan : plans) {
+  for (int i = 0; i <= query.num_tables(); ++i) {
+    HintSet hints;
+    if (i > 0) hints.leading = {i - 1};
+    PhysicalPlan plan =
+        context_.optimizer->Optimize(query, &cards, hints).plan;
+    AnnotateWithProvider(context_, &plan, &cards);
     if (!seen.insert(plan.Signature()).second) continue;
     candidates.push_back(std::move(plan));
   }

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace lqo {
 
@@ -13,31 +12,22 @@ LeroOptimizer::LeroOptimizer(const E2eContext& context, LeroOptions options)
       risk_model_(options.seed) {}
 
 std::vector<PhysicalPlan> LeroOptimizer::Candidates(const Query& query) {
-  // One frozen base provider shares raw estimates across every scale
-  // factor; each costing task plans against its own scaled read-through
-  // view, so a sub-query's estimate is derived once and rescaled per
-  // candidate instead of recomputed from scratch per factor.
+  // One base provider memoizes raw estimates across every scale factor;
+  // each factor plans against its own scaled read-through view, so a
+  // sub-query's estimate is derived once and rescaled per candidate.
   CardinalityProvider base(context_.estimator);
-  base.Freeze();
 
   // Native (scale = 1) first so candidates[0] stays the native plan.
   std::vector<double> factors = {1.0};
   for (double factor : options_.scale_factors) {
     if (factor != 1.0) factors.push_back(factor);
   }
-  std::vector<PhysicalPlan> plans =
-      ParallelMap(factors.size(), [&](size_t f) {
-        CardinalityProvider view(&base, factors[f], /*scale_min_tables=*/2);
-        PhysicalPlan plan = context_.optimizer->Optimize(query, &view).plan;
-        AnnotateWithProvider(context_, &plan, &base);
-        return plan;
-      });
-
-  // Serial signature dedup in factor order (identical to the old
-  // one-factor-at-a-time walk).
   std::vector<PhysicalPlan> candidates;
   std::set<std::string> seen;
-  for (PhysicalPlan& plan : plans) {
+  for (double factor : factors) {
+    CardinalityProvider view(&base, factor, /*scale_min_tables=*/2);
+    PhysicalPlan plan = context_.optimizer->Optimize(query, &view).plan;
+    AnnotateWithProvider(context_, &plan, &base);
     if (!seen.insert(plan.Signature()).second) continue;
     candidates.push_back(std::move(plan));
   }

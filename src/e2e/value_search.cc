@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "costmodel/plan_featurizer.h"
 
 namespace lqo {
@@ -37,10 +36,7 @@ std::vector<PhysicalPlan> ValueSearch::Expand(
     const Query& query, const PhysicalPlan& partial,
     CardinalityProvider* cards) const {
   TableSet joined = partial.root->table_set;
-  // Enumerate the (table, algorithm) extensions first, then annotate them as
-  // index-addressed tasks: annotation dominates (it walks the cost model and
-  // estimator), construction is a clone.
-  std::vector<std::pair<int, JoinAlgorithm>> combos;
+  std::vector<PhysicalPlan> extensions;
   for (int t = 0; t < query.num_tables(); ++t) {
     if (ContainsTable(joined, t)) continue;
     // Must share a join edge with the joined set.
@@ -55,17 +51,14 @@ std::vector<PhysicalPlan> ValueSearch::Expand(
     for (JoinAlgorithm algo :
          {JoinAlgorithm::kHashJoin, JoinAlgorithm::kNestedLoopJoin,
           JoinAlgorithm::kMergeJoin}) {
-      combos.emplace_back(t, algo);
+      PhysicalPlan next;
+      next.query = &query;
+      next.root = MakeJoinNode(algo, partial.root->Clone(), MakeScanNode(t));
+      AnnotateWithProvider(context_, &next, cards);
+      extensions.push_back(std::move(next));
     }
   }
-  return ParallelMap(combos.size(), [&](size_t c) {
-    PhysicalPlan next;
-    next.query = &query;
-    next.root = MakeJoinNode(combos[c].second, partial.root->Clone(),
-                             MakeScanNode(combos[c].first));
-    AnnotateWithProvider(context_, &next, cards);
-    return next;
-  });
+  return extensions;
 }
 
 PhysicalPlan ValueSearch::Search(const Query& query,
@@ -75,27 +68,22 @@ PhysicalPlan ValueSearch::Search(const Query& query,
   LQO_CHECK(query.IsConnected(query.AllTables()));
   TableSet all = query.AllTables();
 
-  // One frozen provider for the whole search: every expansion across every
-  // level/pop shares the same concurrently-read estimate cache instead of
-  // re-deriving baseline cards per candidate.
+  // One provider for the whole search: every expansion across every
+  // level/pop shares the same estimate cache instead of re-deriving
+  // baseline cards per candidate.
   CardinalityProvider cards(context_.estimator);
-  cards.Freeze();
 
   // Values a batch of candidate states with one batched value-model pass:
-  // the states featurize into one feature matrix (index-addressed rows, so
-  // the parallel featurize is deterministic), then a single
+  // the states featurize into one feature matrix, then a single
   // PredictTimeBatch scores every row — bit-identical to per-state
-  // PredictTime. Buffers are per-invocation: value_batch runs concurrently
-  // from the per-frontier-state ParallelMap below, so they must not be
-  // shared across calls.
+  // PredictTime.
   auto value_batch = [&](std::vector<PhysicalPlan> plans) {
     FeatureMatrix state_features(kStateDim);
     std::vector<double> state_values;
     state_features.Reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) state_features.AppendRow();
-    ParallelFor(plans.size(), [&](size_t i) {
-      StateFeaturesInto(query, plans[i], state_features.MutableRow(i));
-    });
+    for (const PhysicalPlan& plan : plans) {
+      StateFeaturesInto(query, plan, state_features.AppendRow());
+    }
     state_values.resize(plans.size());
     value_model.PredictTimeBatch(state_features, state_values);
     std::vector<SearchState> states(plans.size());
@@ -107,14 +95,13 @@ PhysicalPlan ValueSearch::Search(const Query& query,
   };
 
   // Initial states: every single-table scan.
-  std::vector<PhysicalPlan> scans =
-      ParallelMap(static_cast<size_t>(query.num_tables()), [&](size_t t) {
-        PhysicalPlan plan;
-        plan.query = &query;
-        plan.root = MakeScanNode(static_cast<int>(t));
-        AnnotateWithProvider(context_, &plan, &cards);
-        return plan;
-      });
+  std::vector<PhysicalPlan> scans(static_cast<size_t>(query.num_tables()));
+  for (int t = 0; t < query.num_tables(); ++t) {
+    PhysicalPlan& plan = scans[static_cast<size_t>(t)];
+    plan.query = &query;
+    plan.root = MakeScanNode(t);
+    AnnotateWithProvider(context_, &plan, &cards);
+  }
   std::vector<SearchState> frontier = value_batch(std::move(scans));
   if (query.num_tables() == 1) return std::move(frontier[0].partial);
 
@@ -124,18 +111,13 @@ PhysicalPlan ValueSearch::Search(const Query& query,
 
   if (strategy == Strategy::kBeam) {
     // Level-synchronous beam (Balsa): expand every frontier state in
-    // parallel, then flatten in state order so the pre-sort sequence is
-    // identical to the serial walk (std::sort on the same sequence yields
-    // the same order, ties included).
+    // state order, then keep the beam_width lowest-value states.
     for (int level = 1; level < query.num_tables(); ++level) {
-      std::vector<std::vector<SearchState>> expanded_per_state =
-          ParallelMap(frontier.size(), [&](size_t s) {
-            return value_batch(Expand(query, frontier[s].partial, &cards));
-          });
       std::vector<SearchState> next_level;
-      for (std::vector<SearchState>& expanded : expanded_per_state) {
-        for (SearchState& state : expanded) {
-          next_level.push_back(std::move(state));
+      for (const SearchState& state : frontier) {
+        for (SearchState& next :
+             value_batch(Expand(query, state.partial, &cards))) {
+          next_level.push_back(std::move(next));
         }
       }
       LQO_CHECK(!next_level.empty());
@@ -150,9 +132,8 @@ PhysicalPlan ValueSearch::Search(const Query& query,
 
   // Best-first (Neo): pop the lowest-value state, expand; the first
   // complete plan popped wins; expansion budget guards runaway searches.
-  // Each pop's expansion batch annotates and values in parallel; heap
-  // pushes stay serial in batch order, so the heap evolves exactly as in
-  // the serial search.
+  // Each pop's expansion batch is valued in one pass, then pushed in
+  // batch order.
   auto cmp = [](const SearchState& a, const SearchState& b) {
     return a.value > b.value;  // front = minimum value
   };
@@ -196,27 +177,23 @@ PhysicalPlan ValueSearch::Search(const Query& query,
 std::vector<PlanExperience> ValueSearch::SubplanExperiences(
     const Query& query, const PhysicalPlan& plan, double time_units) const {
   std::string query_key = Subquery{&query, query.AllTables()}.Key();
-  // Collect the sub-plan roots bottom-up (cheap clones), then featurize
-  // them in parallel against one shared frozen provider.
-  std::vector<PhysicalPlan> partials;
+  // Every sub-plan, bottom-up, annotated against one shared provider.
+  CardinalityProvider cards(context_.estimator);
+  std::vector<PlanExperience> experiences;
   VisitPlanBottomUp(*plan.root, [&](const PlanNode& node) {
     // Sub-plans rooted at joins (and the scans, which seed the search).
     PhysicalPlan partial;
     partial.query = &query;
     partial.root = node.Clone();
-    partials.push_back(std::move(partial));
-  });
-  CardinalityProvider cards(context_.estimator);
-  cards.Freeze();
-  return ParallelMap(partials.size(), [&](size_t i) {
-    AnnotateWithProvider(context_, &partials[i], &cards);
+    AnnotateWithProvider(context_, &partial, &cards);
     PlanExperience experience;
     experience.query_key = query_key;
-    experience.features = StateFeatures(query, partials[i]);
+    experience.features = StateFeatures(query, partial);
     experience.time_units = time_units;
-    experience.plan_signature = partials[i].Signature();
-    return experience;
+    experience.plan_signature = partial.Signature();
+    experiences.push_back(std::move(experience));
   });
+  return experiences;
 }
 
 }  // namespace lqo

@@ -50,8 +50,8 @@ class ValueSearch {
   };
 
   /// All one-table left-deep extensions of a partial plan (3 algorithms per
-  /// adjacent table), annotated in parallel against the shared frozen
-  /// `cards` provider (one per Search call), in (table, algorithm) order.
+  /// adjacent table), annotated against `cards` (one provider per Search
+  /// call), in (table, algorithm) order.
   std::vector<PhysicalPlan> Expand(const Query& query,
                                    const PhysicalPlan& partial,
                                    CardinalityProvider* cards) const;

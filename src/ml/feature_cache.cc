@@ -8,12 +8,9 @@
 namespace lqo {
 
 FeatureCache::FeatureCache(size_t dim, size_t max_rows)
-    : dim_(dim), max_rows_(max_rows) {
+    : dim_(dim), max_rows_(max_rows), rows_(dim) {
   LQO_CHECK_GT(dim, 0u);
   LQO_CHECK_GT(max_rows, 0u);
-  // locked-by: mutex_(constructor body; no other thread can hold a
-  // reference to this object yet)
-  rows_.Reset(dim_);
 }
 
 bool FeatureCache::Lookup(uint64_t key, uint32_t version, double* out) {

@@ -35,12 +35,12 @@ struct FeatureCacheStats {
 /// version, so they can be computed once and served from here on every later
 /// epoch — and shared across optimizers that use the same featurizer.
 ///
-/// Locking protocol mirrors the frozen CardinalityProvider: Lookup() copies
-/// the row out under a shared lock (a span would dangle across eviction);
-/// a miss computes the row outside any lock and commits it via Insert()
-/// under an exclusive lock, first writer wins. Because rows are pure
-/// functions of the key, racing writers always carry identical rows, so
-/// cached results are bit-for-bit identical at any thread count.
+/// Locking protocol: Lookup() copies the row out under a shared lock (a
+/// span would dangle across eviction); a miss computes the row outside any
+/// lock and commits it via Insert() under an exclusive lock, first writer
+/// wins. Because rows are pure functions of the key, racing writers always
+/// carry identical rows, so cached results are bit-for-bit identical at any
+/// thread count.
 ///
 /// Invalidation: every call carries the featurizer's version stamp. A lookup
 /// with a version other than the resident one wholesale-clears the cache

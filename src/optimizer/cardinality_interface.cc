@@ -1,7 +1,6 @@
 #include "optimizer/cardinality_interface.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -18,64 +17,43 @@ std::vector<double> CardinalityEstimatorInterface::EstimateSubqueryBatch(
   });
 }
 
-CardinalityProvider::CardinalityProvider(const CardinalityProvider* frozen_base,
+CardinalityProvider::CardinalityProvider(CardinalityProvider* base,
                                          double scale_factor,
                                          int scale_min_tables)
-    : estimator_(frozen_base == nullptr ? nullptr : frozen_base->estimator_),
-      base_(frozen_base),
+    : estimator_(base == nullptr ? nullptr : base->estimator_),
+      base_(base),
       scale_factor_(scale_factor),
       scale_min_tables_(scale_min_tables) {
   LQO_CHECK(base_ != nullptr);
-  LQO_CHECK(base_->frozen())
-      << "scaled views require a frozen base (shared across costing tasks)";
 }
 
 void CardinalityProvider::InjectOverride(const std::string& key,
                                          double cardinality) {
-  LQO_CHECK(!frozen()) << "InjectOverride on a frozen CardinalityProvider";
   overrides_[key] = cardinality;
-  // locked-by: mutex_(the !frozen() check above pins this to the
-  // single-threaded mutable phase; the lock only engages once frozen)
   cache_.clear();
 }
 
 void CardinalityProvider::SetScale(double factor, int min_tables) {
-  LQO_CHECK(!frozen()) << "SetScale on a frozen CardinalityProvider";
   scale_factor_ = factor;
   scale_min_tables_ = min_tables;
-  // locked-by: mutex_(the !frozen() check above pins this to the
-  // single-threaded mutable phase; the lock only engages once frozen)
   cache_.clear();
 }
 
 void CardinalityProvider::ClearOverrides() {
-  LQO_CHECK(!frozen()) << "ClearOverrides on a frozen CardinalityProvider";
   overrides_.clear();
   scale_factor_ = 1.0;
   scale_min_tables_ = 0;
-  // locked-by: mutex_(the !frozen() check above pins this to the
-  // single-threaded mutable phase; the lock only engages once frozen)
   cache_.clear();
 }
 
-CardinalityCacheStats CardinalityProvider::Stats() const {
-  CardinalityCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.concurrent_hits = concurrent_hits_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-double CardinalityProvider::Compute(const Subquery& subquery) const {
+double CardinalityProvider::Compute(const Subquery& subquery) {
   auto it = overrides_.empty() ? overrides_.end()
                                : overrides_.find(subquery.Key());
   if (it != overrides_.end()) return it->second;
 
   double value;
   if (base_ != nullptr) {
-    // const_cast is sound: the base is frozen, so Raw() only mutates its
-    // cache under the frozen (locked) protocol.
-    value = const_cast<CardinalityProvider*>(base_)->Raw(subquery);
+    value = base_->Raw(subquery);
   } else {
     LQO_CHECK(estimator_ != nullptr)
         << "CardinalityProvider has no estimator and no override for "
@@ -91,46 +69,12 @@ double CardinalityProvider::Compute(const Subquery& subquery) const {
 
 double CardinalityProvider::Raw(const Subquery& subquery) {
   uint64_t hash = subquery.KeyHash();
-  if (frozen()) {
-    {
-      std::shared_lock<std::shared_mutex> lock(mutex_);
-      auto cached = cache_.find(hash);
-      if (cached != cache_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        concurrent_hits_.fetch_add(1, std::memory_order_relaxed);
-        return cached->second;
-      }
-    }
-    // Estimates are pure functions of the sub-query, so computing outside
-    // the lock and letting the first writer win keeps results bit-for-bit
-    // identical regardless of which racing thread commits.
-    double value = Compute(subquery);
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto [it, inserted] = cache_.emplace(hash, value);
-    if (inserted) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A racing thread populated the entry between our shared-lock miss
-      // and this exclusive lock; that is still a hit served under the
-      // frozen protocol, so both counters advance and misses_ stays equal
-      // to the number of distinct keys.
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      concurrent_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return it->second;
-  }
-
-  // Unfrozen path: by contract the provider is still in its single-threaded
-  // mutable phase, so cache_ is touched bare.
-  // locked-by: mutex_(unfrozen == single-threaded by contract; concurrent
-  // callers must Freeze() first, which routes them through the locked path)
   if (auto cached = cache_.find(hash); cached != cache_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++hits_;
     return cached->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   double value = Compute(subquery);
-  // locked-by: mutex_(unfrozen == single-threaded by contract, as above)
   cache_[hash] = value;
   return value;
 }

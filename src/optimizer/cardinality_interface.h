@@ -1,14 +1,11 @@
 #ifndef LQO_OPTIMIZER_CARDINALITY_INTERFACE_H_
 #define LQO_OPTIMIZER_CARDINALITY_INTERFACE_H_
 
-#include <atomic>
 #include <map>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "query/query.h"
 
 namespace lqo {
@@ -26,8 +23,7 @@ class CardinalityEstimatorInterface {
   /// Contract: implementations must be re-entrant — no mutable per-call
   /// state after Build()/training, and any randomness seeded per call from
   /// construction-time seeds. The parallel evaluation harness
-  /// (EstimatorQErrors) and frozen CardinalityProviders call this
-  /// concurrently from worker threads.
+  /// (EstimatorQErrors) calls this concurrently from worker threads.
   virtual double EstimateSubquery(const Subquery& subquery) = 0;
 
   /// Estimates for a whole batch of sub-queries, element i matching
@@ -43,13 +39,9 @@ class CardinalityEstimatorInterface {
 };
 
 /// Hit/miss counters of the provider's memo cache (Stats() below).
-/// `concurrent_hits` counts hits served under the frozen locking protocol
-/// (shared-lock reads plus lost insert races) — the cross-candidate
-/// cache-sharing the batched plan costing in src/e2e exists to exploit.
 struct CardinalityCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t concurrent_hits = 0;
 };
 
 /// Wraps an estimator with the two injection knobs PilotScope exposes to
@@ -63,55 +55,37 @@ struct CardinalityCacheStats {
 /// string key; the string is only materialized once per miss, to consult
 /// the override table.
 ///
-/// Freeze contract (batched candidate costing): a provider is born mutable
-/// and single-threaded. Calling Freeze() flips it into a read-mostly mode in
-/// which Cardinality() is safe to call from any number of threads
-/// concurrently — reads take a shared lock, a miss computes the estimate
-/// outside any lock (EstimateSubquery is re-entrant by interface contract)
-/// and commits it under an exclusive lock, first writer wins. Because
-/// estimates are pure functions of the sub-query, racing writers always
-/// carry the same value, so results are bit-for-bit identical at any thread
-/// count. The knob setters (InjectOverride / SetScale / ClearOverrides)
-/// CHECK-fail on a frozen provider: freeze only after the knobs are set,
-/// and freeze exactly once. There is no Unfreeze — build a new provider.
+/// A provider is single-threaded: the learned optimizers in src/e2e build
+/// one per query and plan all of that query's candidates against it in
+/// turn, so every candidate shares one memo.
 class CardinalityProvider {
  public:
   explicit CardinalityProvider(CardinalityEstimatorInterface* estimator)
       : estimator_(estimator) {}
 
   /// Scaled read-through view for Lero-style candidate costing: raw
-  /// estimates come from (and are shared via) `frozen_base`, which must
-  /// already be frozen; this view applies `scale_factor` to sub-queries
-  /// with >= `scale_min_tables` tables on top. The view itself is mutable
-  /// and single-threaded (each candidate-costing task owns one); only the
-  /// base is shared across threads.
-  CardinalityProvider(const CardinalityProvider* frozen_base,
-                      double scale_factor, int scale_min_tables);
+  /// estimates come from (and are memoized in) `base`; this view applies
+  /// `scale_factor` to sub-queries with >= `scale_min_tables` tables on top.
+  /// Several views over one base share its memo.
+  CardinalityProvider(CardinalityProvider* base, double scale_factor,
+                      int scale_min_tables);
 
   /// Forces the cardinality of the sub-query identified by `key`
-  /// (Subquery::Key()). Disallowed once frozen.
+  /// (Subquery::Key()).
   void InjectOverride(const std::string& key, double cardinality);
 
   /// Applies `factor` to estimates of sub-queries with >= min_tables tables.
-  /// Disallowed once frozen.
   void SetScale(double factor, int min_tables);
 
-  /// Resets overrides and scaling. Disallowed once frozen.
+  /// Resets overrides and scaling.
   void ClearOverrides();
-
-  /// Flips the provider into the concurrent read-mostly mode documented
-  /// above. Idempotent.
-  void Freeze() { frozen_.store(true, std::memory_order_release); }
-  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
 
   /// Final (possibly overridden/scaled) estimate for the sub-query.
   double Cardinality(const Subquery& subquery);
 
-  /// Memo-cache counters since construction (not reset by ClearOverrides).
-  /// Under concurrent frozen access the hit/miss split may vary run to run
-  /// (two threads can miss the same key simultaneously); hits + misses ==
-  /// number of Cardinality() calls always holds.
-  CardinalityCacheStats Stats() const;
+  /// Memo-cache counters since construction (not reset by ClearOverrides);
+  /// hits + misses == number of Cardinality() calls.
+  CardinalityCacheStats Stats() const { return {hits_, misses_}; }
 
   CardinalityEstimatorInterface* estimator() const { return estimator_; }
 
@@ -119,11 +93,11 @@ class CardinalityProvider {
   /// Estimate before the final >= 1 clamp (what scaled views compose on).
   double Raw(const Subquery& subquery);
   /// Cache-miss path: override table, then base/estimator, then scaling.
-  double Compute(const Subquery& subquery) const;
+  double Compute(const Subquery& subquery);
 
   CardinalityEstimatorInterface* estimator_ = nullptr;
-  /// Non-null for scaled views; raw estimates delegate to the (frozen) base.
-  const CardinalityProvider* base_ = nullptr;
+  /// Non-null for scaled views; raw estimates delegate to the base.
+  CardinalityProvider* base_ = nullptr;
   std::map<std::string, double> overrides_;
   double scale_factor_ = 1.0;
   int scale_min_tables_ = 0;
@@ -132,17 +106,9 @@ class CardinalityProvider {
   struct IdentityHash {
     size_t operator()(uint64_t h) const { return static_cast<size_t>(h); }
   };
-  std::unordered_map<uint64_t, double, IdentityHash> cache_
-      LQO_GUARDED_BY(mutex_);
-  // guards: cache_ — shared-lock reads, exclusive-lock inserts; engaged only
-  // while frozen (the mutable single-threaded phase touches cache_ bare).
-  mutable std::shared_mutex mutex_;
-  // Release-store in Freeze(), acquire-load in Cardinality(): publishes the
-  // single-threaded-phase cache/override contents to concurrent readers.
-  std::atomic<bool> frozen_{false};
-  std::atomic<uint64_t> hits_{0};             // relaxed: monotonic stat only
-  std::atomic<uint64_t> misses_{0};           // relaxed: monotonic stat only
-  std::atomic<uint64_t> concurrent_hits_{0};  // relaxed: monotonic stat only
+  std::unordered_map<uint64_t, double, IdentityHash> cache_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 }  // namespace lqo

@@ -42,7 +42,17 @@ struct Slot {
   double plan_seconds = 0.0;
   ExecutionResult exec;
   double exec_seconds = 0.0;
+  Status status;           // error of this slot's plan or execute
 };
+
+// The first failed slot in session order: which error a round reports does
+// not depend on which pool task ran first.
+Status FirstError(const std::vector<Slot>& slots) {
+  for (const Slot& slot : slots) {
+    if (!slot.status.ok()) return slot.status;
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -82,9 +92,9 @@ std::vector<Query> BuildSessionQueries(const Catalog& catalog,
   return queries;
 }
 
-SessionReport DriveSessions(ServingFrontEnd& front_end,
-                            const std::vector<Query>& queries,
-                            const SessionDriverOptions& options) {
+StatusOr<SessionReport> DriveSessions(ServingFrontEnd& front_end,
+                                      const std::vector<Query>& queries,
+                                      const SessionDriverOptions& options) {
   const size_t sessions = static_cast<size_t>(options.sessions);
   const size_t rounds = static_cast<size_t>(options.rounds);
   LQO_CHECK_EQ(queries.size(), sessions * rounds);
@@ -117,7 +127,10 @@ SessionReport DriveSessions(ServingFrontEnd& front_end,
       if (slot.lookup.hit) return;
       const auto start = std::chrono::steady_clock::now();
       auto planned = front_end.Plan(round_queries[s]);
-      LQO_CHECK(planned.ok()) << planned.status().ToString();
+      if (!planned.ok()) {
+        slot.status = planned.status();
+        return;
+      }
       slot.plan_seconds = SecondsSince(start);
       slot.plan = std::move(*planned);
       slot.planned = true;
@@ -127,6 +140,7 @@ SessionReport DriveSessions(ServingFrontEnd& front_end,
     } else {
       for (size_t s = 0; s < sessions; ++s) plan_one(s);
     }
+    LQO_RETURN_IF_ERROR(FirstError(slots));
 
     // Phase C: install first-writer-wins, serially in session order — the
     // winner of a same-type race is then a deterministic fact, not a
@@ -151,12 +165,14 @@ SessionReport DriveSessions(ServingFrontEnd& front_end,
         to_run = &bound;
       }
       auto executed = front_end.Execute(*to_run);
-      LQO_CHECK(executed.ok()) << executed.status().ToString() << " (round "
-                               << r << " session " << s << " hit "
-                               << slot.lookup.hit << ")";
+      if (!executed.ok()) {
+        slot.status = executed.status();
+        return;
+      }
       slot.exec = std::move(*executed);
       slot.exec_seconds = SecondsSince(start);
     });
+    LQO_RETURN_IF_ERROR(FirstError(slots));
 
     // Phase E: fold feedback and the fingerprint, serially in session
     // order. Only executions of the cached plan reach the drift detector:

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "query/workload.h"
 #include "serving/front_end.h"
 
@@ -90,9 +91,13 @@ std::vector<Query> BuildSessionQueries(const Catalog& catalog,
 /// drift detector serially in session order, and the fingerprint folds the
 /// per-query results. Stats, invalidations, demotions and the fingerprint
 /// are therefore identical at any LQO_THREADS.
-SessionReport DriveSessions(ServingFrontEnd& front_end,
-                            const std::vector<Query>& queries,
-                            const SessionDriverOptions& options);
+///
+/// A producer error in (B) or an executor error in (D) ends the replay
+/// after that phase with the error of the first failing session in session
+/// order, so the returned Status is the same at any LQO_THREADS.
+StatusOr<SessionReport> DriveSessions(ServingFrontEnd& front_end,
+                                      const std::vector<Query>& queries,
+                                      const SessionDriverOptions& options);
 
 }  // namespace lqo
 

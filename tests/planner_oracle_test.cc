@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/lab.h"
-#include "common/thread_pool.h"
+#include "cardinality/training_data.h"
 #include "e2e/bao.h"
 #include "query/sql_parser.h"
 #include "query/workload.h"
@@ -215,30 +215,25 @@ TEST_P(DpOracleDatasetTest, CyclicJoinGraphsMatchSubmaskDp) {
 INSTANTIATE_TEST_SUITE_P(Datasets, DpOracleDatasetTest,
                          ::testing::Values("stats_lite", "imdb_lite"));
 
-// Bao plans its arms concurrently against one frozen provider; each arm's
-// plan must still equal the oracle's serial plan.
-TEST(DpOracleTest, ConcurrentArmsOnFrozenProviderMatchSubmaskDp) {
+// Bao plans all of its arms against one provider; each arm's plan must
+// still equal the oracle's plan over a fresh provider, and the shared memo
+// must estimate each connected subset exactly once across all arms.
+TEST(DpOracleTest, ArmsSharingOneProviderMatchSubmaskDp) {
   auto lab = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
   Workload workload = ChainTemplates(*lab, 2);
   std::vector<HintSet> arms = BaoArms(*lab);
-  ThreadPool pool(4);
   for (const Query& query : workload.queries) {
     CardinalityProvider shared(lab->estimator.get());
-    shared.Freeze();
-    std::vector<PlannerResult> got = ParallelMap(
-        arms.size(),
-        [&](size_t a) {
-          return lab->optimizer->Optimize(query, &shared, arms[a]);
-        },
-        &pool);
-    for (size_t a = 0; a < arms.size(); ++a) {
+    for (const HintSet& arm : arms) {
+      PlannerResult got = lab->optimizer->Optimize(query, &shared, arm);
       CardinalityProvider cards(lab->estimator.get());
       PlannerResult want =
-          oracle::SubmaskDp(*lab->optimizer, true, query, &cards, arms[a]);
-      EXPECT_EQ(got[a].plan.Signature(), want.plan.Signature());
-      EXPECT_EQ(got[a].estimated_cost, want.estimated_cost);
-      EXPECT_EQ(got[a].combinations_evaluated, want.combinations_evaluated);
+          oracle::SubmaskDp(*lab->optimizer, true, query, &cards, arm);
+      EXPECT_EQ(got.plan.Signature(), want.plan.Signature());
+      EXPECT_EQ(got.estimated_cost, want.estimated_cost);
+      EXPECT_EQ(got.combinations_evaluated, want.combinations_evaluated);
     }
+    EXPECT_EQ(shared.Stats().misses, ConnectedSubsets(query).size());
   }
 }
 

@@ -431,7 +431,9 @@ TEST_F(ServingTest, SessionDriverIsThreadCountInvariant) {
     NativePlanProducer native(&context_);
     PlanCache cache;
     ServingFrontEnd front_end(&cache, &native, lab_->executor.get());
-    SessionReport report = DriveSessions(front_end, queries, sopts);
+    StatusOr<SessionReport> replay = DriveSessions(front_end, queries, sopts);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    const SessionReport& report = *replay;
     EXPECT_EQ(report.queries, queries.size());
     EXPECT_GT(report.cache_hits, 0u);
     fingerprints[i] = report.fingerprint;
@@ -441,6 +443,36 @@ TEST_F(ServingTest, SessionDriverIsThreadCountInvariant) {
   ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
   EXPECT_EQ(hits[0], hits[1]);
+}
+
+// A producer error is returned from DriveSessions, not a process abort.
+TEST_F(ServingTest, SessionDriverReturnsProducerError) {
+  SessionDriverOptions sopts;
+  sopts.sessions = 4;
+  sopts.rounds = 3;
+  sopts.seed = 37;
+  const std::vector<Query> queries =
+      BuildSessionQueries(lab_->catalog, templates_, sopts);
+
+  // Not thread-safe, so the driver plans serially; fails on exactly one
+  // session's query (round 1, session 2).
+  struct FailingProducer : public PlanProducer {
+    FailingProducer(const E2eContext* context, const Query* bad_query)
+        : inner(context), bad(bad_query) {}
+    StatusOr<PhysicalPlan> Plan(const Query& query) override {
+      if (&query == bad) return Status::Internal("producer failed");
+      return inner.Plan(query);
+    }
+    std::string Name() const override { return "failing"; }
+    NativePlanProducer inner;
+    const Query* bad;
+  } failing(&context_, &queries[1 * 4 + 2]);
+
+  ServingFrontEnd front_end(nullptr, &failing, lab_->executor.get());
+  StatusOr<SessionReport> replay = DriveSessions(front_end, queries, sopts);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(replay.status().message(), "producer failed");
 }
 
 }  // namespace

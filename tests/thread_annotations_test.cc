@@ -16,8 +16,8 @@ namespace lqo {
 namespace {
 
 // An annotated toy mirroring the real shapes in the tree: ThreadPool's
-// queue (LQO_GUARDED_BY + LQO_EXCLUDES) and CardinalityProvider's frozen
-// cache (shared_mutex with guarded map).
+// queue (LQO_GUARDED_BY + LQO_EXCLUDES) and FeatureCache's row store
+// (shared_mutex with guarded map).
 class AnnotatedCounter {
  public:
   void Add(int delta) LQO_EXCLUDES(mutex_) {

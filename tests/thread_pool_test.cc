@@ -491,63 +491,25 @@ TEST_F(ThreadPoolTest, CachedEstimatorRetrainIsThreadCountInvariant) {
   });
 }
 
-TEST_F(ThreadPoolTest, FrozenProviderServesConcurrentReadsDeterministically) {
-  SiteFixture f;
-  // Serial reference values, one per query.
-  std::vector<double> reference;
-  for (const Query& q : f.workload.queries) {
-    CardinalityProvider fresh(f.lab->estimator.get());
-    reference.push_back(fresh.Cardinality(Subquery{&q, q.AllTables()}));
-  }
-
-  ThreadPool::SetGlobalThreads(8);
-  CardinalityProvider cards(f.lab->estimator.get());
-  cards.Freeze();
-  EXPECT_TRUE(cards.frozen());
-  // Hammer the frozen cache: many tasks per query, all racing on the same
-  // handful of keys.
-  const size_t kTasks = 256;
-  std::vector<double> got = ParallelMap(kTasks, [&](size_t i) {
-    const Query& q = f.workload.queries[i % f.workload.queries.size()];
-    return cards.Cardinality(Subquery{&q, q.AllTables()});
-  });
-  for (size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(got[i], reference[i % reference.size()]);
-  }
-
-  CardinalityCacheStats stats = cards.Stats();
-  // hits + misses always equals the number of lookups, and racing threads
-  // that lose the insert count as hits, so misses == distinct keys exactly.
-  EXPECT_EQ(stats.hits + stats.misses, kTasks);
-  EXPECT_EQ(stats.misses, f.workload.queries.size());
-  // Every hit was served under the shared (frozen) lock.
-  EXPECT_EQ(stats.concurrent_hits, stats.hits);
-  EXPECT_GT(stats.concurrent_hits, 0u);
-}
-
-TEST_F(ThreadPoolTest, FrozenProviderRejectsKnobMutations) {
-  SiteFixture f;
-  CardinalityProvider cards(f.lab->estimator.get());
-  cards.SetScale(2.0, 2);  // mutable before freeze.
-  cards.ClearOverrides();
-  cards.Freeze();
-  EXPECT_DEATH(cards.SetScale(2.0, 2), "frozen");
-  EXPECT_DEATH(cards.InjectOverride("k", 5.0), "frozen");
-  EXPECT_DEATH(cards.ClearOverrides(), "frozen");
-}
-
 TEST_F(ThreadPoolTest, ScaledViewMatchesDirectScaling) {
   SiteFixture f;
   CardinalityProvider base(f.lab->estimator.get());
-  base.Freeze();
-  const double kFactor = 10.0;
-  CardinalityProvider view(&base, kFactor, /*scale_min_tables=*/2);
-  for (const Query& q : f.workload.queries) {
-    Subquery all{&q, q.AllTables()};
-    double expected = f.lab->estimator->EstimateSubquery(all);
-    if (PopCount(all.tables) >= 2) expected *= kFactor;
-    EXPECT_EQ(view.Cardinality(all), std::max(expected, 1.0));
-  }
+  auto expect_scaled_view = [&](double factor) {
+    CardinalityProvider view(&base, factor, /*scale_min_tables=*/2);
+    for (const Query& q : f.workload.queries) {
+      Subquery all{&q, q.AllTables()};
+      double expected = f.lab->estimator->EstimateSubquery(all);
+      if (PopCount(all.tables) >= 2) expected *= factor;
+      EXPECT_EQ(view.Cardinality(all), std::max(expected, 1.0));
+    }
+  };
+  expect_scaled_view(10.0);
+  // A second view over the same base is served from the base's memo: the
+  // base estimates nothing new.
+  const uint64_t base_misses = base.Stats().misses;
+  EXPECT_GT(base_misses, 0u);
+  expect_scaled_view(0.1);
+  EXPECT_EQ(base.Stats().misses, base_misses);
 }
 
 TEST_F(ThreadPoolTest, SubqueryKeyHashIsCanonicalAcrossQueryObjects) {

@@ -169,8 +169,8 @@ const std::vector<Rule>& Catalog() {
        "definition) are checked as if the lock were held throughout. This\n"
        "is the guarded-member-touched-without-lock class of race that TSan\n"
        "only catches when a test happens to hit the interleaving. Sites\n"
-       "that are safe without the lock (single-threaded construction, a\n"
-       "frozen read-only phase) are waived in place with\n"
+       "that are safe without the lock (e.g. after every other thread that\n"
+       "could reach the member has been joined) are waived in place with\n"
        "// locked-by: <mutex>(<reason>), which names the protocol that\n"
        "makes the bare access sound."},
       {"layering", "hygiene", Severity::kError,
