@@ -21,7 +21,6 @@
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/mlp.h"
-#include "ml/tree.h"
 #include "query/workload.h"
 #include "storage/datasets.h"
 
@@ -140,17 +139,16 @@ void BM_JoinPhases(benchmark::State& state) {
 BENCHMARK(BM_JoinPhases);
 
 // Batched-inference substrate: scalar Predict loops vs PredictBatch over
-// the SoA tree kernels and the blocked MLP forward, on one shared fitted
-// model set. The fixture CHECK-fails if batch and scalar predictions ever
-// diverge, so any run of this binary (including scripts/check.sh's) doubles
-// as a bit-identity gate.
+// the compact ensemble arenas and the blocked MLP forward, on one shared
+// fitted model set. The fixture CHECK-fails if batch and scalar predictions
+// ever diverge, so any run of this binary (including scripts/check.sh's)
+// doubles as a bit-identity gate.
 struct InferenceFixture {
   static constexpr size_t kRows = 2048;
   static constexpr size_t kDim = 12;
 
   std::vector<std::vector<double>> rows;
   FeatureMatrix matrix{kDim};
-  RegressionTree tree;
   RandomForest forest;
   GradientBoostedTrees gbdt;
   Mlp mlp;
@@ -168,8 +166,6 @@ struct InferenceFixture {
       matrix.AddRow(row);
       rows.push_back(std::move(row));
     }
-    TreeOptions tree_options;
-    tree.Fit(rows, targets, tree_options);
     ForestOptions forest_options;
     forest_options.num_trees = 20;
     forest = RandomForest(forest_options);
@@ -196,10 +192,6 @@ struct InferenceFixture {
             << name << ": batch diverges from scalar at row " << r;
       }
     };
-    tree.PredictBatch(matrix, batch);
-    check("tree", [&](const std::vector<double>& row) {
-      return tree.Predict(row);
-    });
     forest.PredictBatch(matrix, batch);
     check("forest", [&](const std::vector<double>& row) {
       return forest.Predict(row);
@@ -213,26 +205,8 @@ struct InferenceFixture {
       return mlp.Predict(row);
     });
 
-    // Compact quantized layouts, forced via ConfigureCompact(0) on copies,
-    // must reproduce the same bits as the scalar traversal of the SoA
-    // originals: thresholds are quantized at build time, so the layout
-    // never changes a comparison outcome.
-    RandomForest forest_compact = forest;
-    forest_compact.ConfigureCompact(0);
-    forest_compact.PredictBatch(matrix, batch);
-    check("compact-forest", [&](const std::vector<double>& row) {
-      return forest.Predict(row);
-    });
-    GradientBoostedTrees gbdt_compact = gbdt;
-    gbdt_compact.ConfigureCompact(0);
-    gbdt_compact.PredictBatch(matrix, batch);
-    check("compact-gbdt", [&](const std::vector<double>& row) {
-      return gbdt.Predict(row);
-    });
-
-    // Odd-size batch (not a multiple of the interleaved kernels' lane
-    // width, nor of the morsel size): exercises the remainder rows of the
-    // lockstep tree descent, which must still be bit-identical to scalar.
+    // Odd-size batch (not a multiple of the morsel size): the last, short
+    // morsel must still be bit-identical to scalar.
     constexpr size_t kOddRows = 1021;
     FeatureMatrix odd(kDim);
     odd.Reserve(kOddRows);
@@ -284,15 +258,6 @@ void RunInferenceBatch(benchmark::State& state, const Model& model) {
                           static_cast<int64_t>(InferenceFixture::kRows));
 }
 
-void BM_InferenceScalarTree(benchmark::State& state) {
-  RunInferenceScalar(state, Inference().tree);
-}
-BENCHMARK(BM_InferenceScalarTree);
-void BM_InferenceBatchTree(benchmark::State& state) {
-  RunInferenceBatch(state, Inference().tree);
-}
-BENCHMARK(BM_InferenceBatchTree);
-
 void BM_InferenceScalarForest(benchmark::State& state) {
   RunInferenceScalar(state, Inference().forest);
 }
@@ -320,8 +285,8 @@ void BM_InferenceBatchMlp(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceBatchMlp);
 
-// Large-ensemble fixture, past the compact_min_total_nodes L2 gate, shared
-// by the *Large layout benchmarks below. Like the other fixtures it is
+// Large-ensemble fixture (tens of thousands of nodes, past L2 residence),
+// shared by the *Large benchmarks below. Like the other fixtures it is
 // built lazily on first use, so filtered runs that never touch these
 // benchmarks (scripts/check.sh's --benchmark_filter='Inference' TSan pass
 // in particular) start fast and never pay the multi-second ensemble fits.
@@ -331,10 +296,8 @@ struct LargeEnsembleFixture {
 
   std::vector<std::vector<double>> rows;
   FeatureMatrix matrix{kDim};
-  RandomForest soa_forest;      // ConfigureCompact(SIZE_MAX): SoA arrays
-  RandomForest compact_forest;  // ConfigureCompact(0): quantized arenas
-  GradientBoostedTrees soa_gbdt;
-  GradientBoostedTrees compact_gbdt;
+  RandomForest forest;
+  GradientBoostedTrees gbdt;
 
   LargeEnsembleFixture() {
     Rng rng(515);
@@ -351,35 +314,26 @@ struct LargeEnsembleFixture {
     }
     ForestOptions forest_options;
     forest_options.num_trees = 64;
-    soa_forest = RandomForest(forest_options);
-    soa_forest.Fit(rows, targets);
-    compact_forest = soa_forest;
-    soa_forest.ConfigureCompact(SIZE_MAX);
-    compact_forest.ConfigureCompact(0);
+    forest = RandomForest(forest_options);
+    forest.Fit(rows, targets);
 
     GbdtOptions gbdt_options;
     gbdt_options.num_trees = 96;
-    gbdt_options.tree.max_depth = 8;  // past the cache-resident node gate
-    soa_gbdt = GradientBoostedTrees(gbdt_options);
-    soa_gbdt.Fit(rows, targets);
-    compact_gbdt = soa_gbdt;
-    soa_gbdt.ConfigureCompact(SIZE_MAX);
-    compact_gbdt.ConfigureCompact(0);
+    gbdt_options.tree.max_depth = 8;
+    gbdt = GradientBoostedTrees(gbdt_options);
+    gbdt.Fit(rows, targets);
 
-    // Layout-identity gate: the two layouts of the same fitted model must
-    // produce the same bits on every row.
-    std::vector<double> a(kRows), b(kRows);
-    soa_forest.PredictBatch(matrix, a);
-    compact_forest.PredictBatch(matrix, b);
+    // Divergence gate: batch output must be bit-for-bit the scalar loop's.
+    std::vector<double> batch(kRows);
+    forest.PredictBatch(matrix, batch);
     for (size_t r = 0; r < kRows; ++r) {
-      LQO_CHECK_EQ(a[r], b[r]) << "forest: compact layout diverges at row "
-                               << r;
+      LQO_CHECK_EQ(batch[r], forest.Predict(rows[r]))
+          << "forest-large: batch diverges from scalar at row " << r;
     }
-    soa_gbdt.PredictBatch(matrix, a);
-    compact_gbdt.PredictBatch(matrix, b);
+    gbdt.PredictBatch(matrix, batch);
     for (size_t r = 0; r < kRows; ++r) {
-      LQO_CHECK_EQ(a[r], b[r]) << "gbdt: compact layout diverges at row "
-                               << r;
+      LQO_CHECK_EQ(batch[r], gbdt.Predict(rows[r]))
+          << "gbdt-large: batch diverges from scalar at row " << r;
     }
   }
 };
@@ -390,7 +344,7 @@ LargeEnsembleFixture& LargeEnsemble() {
 }
 
 template <typename Model>
-void RunLayoutBatch(benchmark::State& state, const Model& model) {
+void RunLargeBatch(benchmark::State& state, const Model& model) {
   LargeEnsembleFixture& f = LargeEnsemble();
   std::vector<double> out(LargeEnsembleFixture::kRows);
   for (auto _ : state) {
@@ -401,23 +355,14 @@ void RunLayoutBatch(benchmark::State& state, const Model& model) {
                           static_cast<int64_t>(LargeEnsembleFixture::kRows));
 }
 
-void BM_SoaForestLarge(benchmark::State& state) {
-  RunLayoutBatch(state, LargeEnsemble().soa_forest);
+void BM_ForestLarge(benchmark::State& state) {
+  RunLargeBatch(state, LargeEnsemble().forest);
 }
-BENCHMARK(BM_SoaForestLarge);
-void BM_CompactForestLarge(benchmark::State& state) {
-  RunLayoutBatch(state, LargeEnsemble().compact_forest);
+BENCHMARK(BM_ForestLarge);
+void BM_GbdtLarge(benchmark::State& state) {
+  RunLargeBatch(state, LargeEnsemble().gbdt);
 }
-BENCHMARK(BM_CompactForestLarge);
-
-void BM_SoaGbdtLarge(benchmark::State& state) {
-  RunLayoutBatch(state, LargeEnsemble().soa_gbdt);
-}
-BENCHMARK(BM_SoaGbdtLarge);
-void BM_CompactGbdtLarge(benchmark::State& state) {
-  RunLayoutBatch(state, LargeEnsemble().compact_gbdt);
-}
-BENCHMARK(BM_CompactGbdtLarge);
+BENCHMARK(BM_GbdtLarge);
 
 // Selection-vector kernel fixture: one 64k-row int64 column plus a
 // half-density input selection. The constructor CHECK-fails if any kernel

@@ -33,7 +33,6 @@
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/mlp.h"
-#include "ml/tree.h"
 #include "query/workload.h"
 #include "storage/datasets.h"
 
@@ -104,7 +103,7 @@ SiteReport RunSite(const std::string& name, const std::vector<int>& counts,
   return report;
 }
 
-// Site 10 (also standalone via --simd-only): the explicit SIMD kernel layer
+// Site 9 (also standalone via --simd-only): the explicit SIMD kernel layer
 // of engine/simd.h and the executor plans it feeds. Three jobs:
 //   1. Determinism fingerprint: scan/filter, hash-join, merge-join, NLJ and
 //      3-way chain hash-join plans executed at every supported SIMD level
@@ -405,7 +404,7 @@ void RunSimdKernelsSite(const std::vector<int>& counts, int hw,
 #endif
 }
 
-// Site 11 (also standalone via --agg-only): the late-materialization output
+// Site 10 (also standalone via --agg-only): the late-materialization output
 // pipeline (DESIGN.md "Late materialization & output pipeline"). Two jobs:
 //   1. Determinism fingerprint: grouped aggregation over a scan, grouped
 //      aggregation over a hash join (deferred row-id probe feeding the
@@ -777,8 +776,8 @@ int main(int argc, char** argv) {
   }
 
   // Site 7: batched model inference — one PredictBatch pass over a shared
-  // feature matrix for every model family (SoA tree kernels, blocked MLP
-  // forward), morsel-chunked across the pool. The fingerprint sums every
+  // feature matrix for every model family (compact ensemble arenas, blocked
+  // MLP forward), morsel-chunked across the pool. The fingerprint sums every
   // prediction, so any thread-count-dependent reordering of the batch path
   // shows up as a determinism violation.
   struct InferenceThroughput {
@@ -796,8 +795,6 @@ int main(int argc, char** argv) {
     matrix.Reserve(rows.size());
     for (const auto& row : rows) matrix.AddRow(row);
 
-    RegressionTree tree;
-    tree.Fit(rows, targets, TreeOptions());
     ForestOptions fopts;
     fopts.num_trees = 24;
     RandomForest forest(fopts);
@@ -816,8 +813,6 @@ int main(int argc, char** argv) {
     reports.push_back(RunSite("inference_batch", counts, [&] {
       std::vector<double> out(matrix.rows());
       double fingerprint = 0.0;
-      tree.PredictBatch(matrix, out);
-      for (double v : out) fingerprint += v;
       forest.PredictBatch(matrix, out);
       for (double v : out) fingerprint += v;
       gbdt.PredictBatch(matrix, out);
@@ -862,13 +857,12 @@ int main(int argc, char** argv) {
                    t.batch_rows_per_sec / t.scalar_rows_per_sec);
       inference.push_back(t);
     };
-    measure("tree", tree);
     measure("forest", forest);
     measure("gbdt", gbdt);
     measure("mlp", mlp);
 #if !LQO_BENCH_SANITIZED
-    // ISSUE 6 satellite gate: the interleaved lockstep GBDT kernel must be
-    // at least as fast as per-row Predict. Compiled out under sanitizers.
+    // GBDT batch inference (tree-major over the compact arenas) must be at
+    // least as fast as per-row Predict. Compiled out under sanitizers.
     for (const InferenceThroughput& t : inference) {
       if (t.name == "gbdt") {
         LQO_CHECK(t.batch_rows_per_sec >= t.scalar_rows_per_sec)
@@ -956,73 +950,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cache_stats.misses));
   }
 
-  // Site 9: compact quantized forest layout vs the SoA arrays on an
-  // ensemble far past L2 residence. ConfigureCompact flips layouts on the
-  // same fitted model; the RunSite fingerprint must be identical at every
-  // thread count because thresholds are quantized at build time.
-  double soa_rps = 0.0;
-  double compact_rps = 0.0;
-  size_t compact_total_nodes = 0, compact_bytes = 0, compact_rows = 0;
-  {
-    std::vector<double> targets;
-    std::vector<std::vector<double>> rows = MakeMlRows(6000, 12, &targets);
-    ForestOptions fopts;
-    fopts.num_trees = 64;
-    RandomForest forest(fopts);
-    forest.Fit(rows, targets);
-    compact_total_nodes = forest.total_nodes();
-
-    FeatureMatrix matrix(12);
-    const size_t kPredictRows = 16384;
-    matrix.Reserve(kPredictRows);
-    for (size_t i = 0; i < kPredictRows; ++i) {
-      matrix.AddRow(rows[i % rows.size()]);
-    }
-    compact_rows = matrix.rows();
-
-    reports.push_back(RunSite("compact_forest", counts, [&] {
-      forest.ConfigureCompact(0);  // force the compact layout
-      std::vector<double> out(matrix.rows());
-      forest.PredictBatch(matrix, out);
-      double fingerprint = 0.0;
-      for (double v : out) fingerprint += v;
-      return fingerprint;
-    }));
-
-    ThreadPool::SetGlobalThreads(hw);
-    static volatile double forest_sink = 0.0;
-    std::vector<double> out(matrix.rows());
-    auto layout_rows_per_sec = [&] {
-      const int kPasses = 5;
-      double best = 1e100;
-      for (int rep = 0; rep < 5; ++rep) {
-        double secs = SecondsOf([&] {
-          for (int p = 0; p < kPasses; ++p) {
-            forest.PredictBatch(matrix, out);
-            forest_sink = forest_sink + out[0];
-          }
-        });
-        if (secs < best) best = secs;
-      }
-      return static_cast<double>(matrix.rows()) * kPasses / best;
-    };
-    forest.ConfigureCompact(SIZE_MAX);  // plain SoA arrays
-    soa_rps = layout_rows_per_sec();
-    forest.ConfigureCompact(0);  // compact quantized arenas
-    compact_rps = layout_rows_per_sec();
-    compact_bytes = forest.compact_bytes();
-    std::fprintf(stderr,
-                 "  compact_forest soa %11.0f rows/s  compact %11.0f rows/s  "
-                 "(%.2fx; %zu nodes, %zu compact bytes)\n",
-                 soa_rps, compact_rps, compact_rps / soa_rps,
-                 compact_total_nodes, compact_bytes);
-  }
-
-  // Site 10: SIMD kernel layer (levels x threads determinism cube,
+  // Site 9: SIMD kernel layer (levels x threads determinism cube,
   // per-family throughput, BENCH_simd.json, 1.3x filter floor).
   RunSimdKernelsSite(counts, hw, &reports);
 
-  // Site 11: late-materialization output pipeline (grouped aggregation +
+  // Site 10: late-materialization output pipeline (grouped aggregation +
   // projection determinism cube, per-shape throughput, BENCH_agg.json).
   RunAggProjectionSite(counts, hw, &reports);
 
@@ -1035,13 +967,7 @@ int main(int argc, char** argv) {
         << ", \"warm_speedup\": " << cache_warm_rps / cache_cold_rps
         << ", \"hits\": " << cache_stats.hits
         << ", \"misses\": " << cache_stats.misses
-        << ", \"evictions\": " << cache_stats.evictions << "},\n"
-        << "  \"compact_forest\": {\"rows\": " << compact_rows
-        << ", \"total_nodes\": " << compact_total_nodes
-        << ", \"compact_bytes\": " << compact_bytes
-        << ", \"soa_rows_per_sec\": " << soa_rps
-        << ", \"compact_rows_per_sec\": " << compact_rps
-        << ", \"compact_speedup\": " << compact_rps / soa_rps << "}\n}\n";
+        << ", \"evictions\": " << cache_stats.evictions << "}\n}\n";
   cjson.close();
   std::fprintf(stderr, "wrote BENCH_cache.json\n");
 

@@ -113,8 +113,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # Serving front end determinism site, under TSan: replays concurrent
 # sessions (drift + parameter-sensitive scenarios included) through the
 # shared plan cache at LQO_THREADS 1/2/8 and exits nonzero unless the
-# fingerprints are bit-identical (the 3x throughput gate is compiled out
-# under sanitizers).
+# fingerprints are bit-identical (the full run's cache-quality and
+# throughput gates are not run here).
 "$BUILD_DIR"/bench/bench_serving --determinism-only
 echo "check.sh: stage 2 (TSan suite) passed with LQO_THREADS=4"
 

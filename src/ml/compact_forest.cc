@@ -1,34 +1,19 @@
 #include "ml/compact_forest.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace lqo {
-namespace {
-
-// Mirrors the block size of RegressionTree::PredictRange so the two layouts
-// stream rows with the same locality shape. Affects work layout only, never
-// results.
-constexpr size_t kTraversalBlock = 64;
-
-}  // namespace
-
-void CompactForest::Clear() {
-  feature_.clear();
-  threshold_.clear();
-  child_.clear();
-  leaf_value_.clear();
-  root_.clear();
-}
 
 void CompactForest::Pack(std::span<const RegressionTree> trees) {
-  Clear();
   size_t total = 0;
   for (const RegressionTree& tree : trees) total += tree.num_nodes();
-  feature_.reserve(total);
-  threshold_.reserve(total);
-  child_.reserve(total);
+  feature_.assign(total, kLeaf);
+  threshold_.assign(total, 0.0f);
+  child_.assign(total, 0);
+  leaf_value_.clear();
+  root_.clear();
   root_.reserve(trees.size());
 
   // Per tree: breadth-first renumbering that allocates both children of an
@@ -36,6 +21,7 @@ void CompactForest::Pack(std::span<const RegressionTree> trees) {
   // child_, right at child_ + 1). The walk order is a pure function of the
   // source tree, so packing is deterministic.
   std::vector<std::pair<int32_t, size_t>> worklist;  // (source node, slot)
+  size_t base = 0;
   for (const RegressionTree& tree : trees) {
     LQO_CHECK(tree.fitted());
     std::span<const int32_t> feature = tree.node_features();
@@ -44,12 +30,7 @@ void CompactForest::Pack(std::span<const RegressionTree> trees) {
     std::span<const int32_t> left = tree.node_left();
     std::span<const int32_t> right = tree.node_right();
 
-    size_t base = feature_.size();
     root_.push_back(static_cast<int32_t>(base));
-    feature_.resize(base + feature.size());
-    threshold_.resize(base + feature.size());
-    child_.resize(base + feature.size());
-
     size_t next_slot = base + 1;  // root occupies `base`
     worklist.clear();
     worklist.emplace_back(0, base);
@@ -60,56 +41,41 @@ void CompactForest::Pack(std::span<const RegressionTree> trees) {
       size_t n = static_cast<size_t>(node);
       int32_t f = feature[n];
       if (f < 0) {
-        feature_[slot] = kLeaf;
-        threshold_[slot] = 0.0f;
         child_[slot] = static_cast<int32_t>(leaf_value_.size());
         leaf_value_.push_back(value[n]);
         continue;
       }
-      LQO_CHECK_LT(f, static_cast<int32_t>(kLeaf))
-          << "feature id does not fit the uint16 compact layout";
       float q = static_cast<float>(threshold[n]);
       // Build-time quantization contract: the double array already holds a
       // float-representable value, so the narrowing is exact.
       LQO_CHECK_EQ(static_cast<double>(q), threshold[n])
           << "threshold not quantized at build time";
-      feature_[slot] = static_cast<uint16_t>(f);
+      feature_[slot] = static_cast<uint32_t>(f);
       threshold_[slot] = q;
       child_[slot] = static_cast<int32_t>(next_slot);
       worklist.emplace_back(left[n], next_slot);
       worklist.emplace_back(right[n], next_slot + 1);
       next_slot += 2;
     }
-    LQO_CHECK_EQ(next_slot, base + feature.size());
-  }
-}
-
-double CompactForest::PredictRowTree(size_t t, const double* row) const {
-  size_t index = static_cast<size_t>(root_[t]);
-  while (true) {
-    uint16_t f = feature_[index];
-    if (f == kLeaf) {
-      return leaf_value_[static_cast<size_t>(child_[index])];
-    }
-    // Widening the float threshold back to double reproduces the exact
-    // value the SoA array stores (build-time quantization), so this is the
-    // same comparison RegressionTree::PredictRow performs.
-    bool go_left = row[f] <= static_cast<double>(threshold_[index]);
-    index = static_cast<size_t>(child_[index]) + (go_left ? 0 : 1);
+    base += feature.size();
+    LQO_CHECK_EQ(next_slot, base);
   }
 }
 
 void CompactForest::PredictRangeTree(size_t t, const FeatureMatrix& x,
                                      size_t begin, size_t end,
                                      double* out) const {
-  // Row blocks keep the block's feature rows hot while the arena streams;
-  // each row still takes exactly the comparisons PredictRowTree takes, so
-  // blocking affects layout of work only.
-  for (size_t block = begin; block < end; block += kTraversalBlock) {
-    size_t block_rows = std::min(kTraversalBlock, end - block);
-    for (size_t i = 0; i < block_rows; ++i) {
-      out[block - begin + i] = PredictRowTree(t, x.Row(block + i));
+  for (size_t r = begin; r < end; ++r) {
+    const double* row = x.Row(r);
+    size_t index = static_cast<size_t>(root_[t]);
+    for (uint32_t f = feature_[index]; f != kLeaf; f = feature_[index]) {
+      // Widening the float threshold back to double reproduces the exact
+      // value the SoA array stores (build-time quantization), so this is
+      // the same comparison RegressionTree::PredictRow performs.
+      bool go_left = row[f] <= static_cast<double>(threshold_[index]);
+      index = static_cast<size_t>(child_[index]) + (go_left ? 0 : 1);
     }
+    out[r - begin] = leaf_value_[static_cast<size_t>(child_[index])];
   }
 }
 

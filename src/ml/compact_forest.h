@@ -10,16 +10,16 @@
 
 namespace lqo {
 
-/// Compact quantized node layout for tree ensembles whose SoA arrays spill
-/// out of L2 — the inference-substrate phase-2 layout (see DESIGN.md
-/// "Inference path").
+/// Compact quantized node layout: the one batch-inference layout of every
+/// RandomForest and GradientBoostedTrees (see DESIGN.md "Inference path").
+/// Fit() packs the ensemble's trees here; PredictBatch reads only these
+/// arenas, while scalar Predict walks the RegressionTree SoA arrays.
 ///
-/// The PR 3 SoA arrays cost ~28 bytes/node (int32 feature + double
-/// threshold + double value + two int32 children). This layout packs every
-/// tree of an ensemble into shared arenas at ~10 bytes/node plus 8 bytes
-/// per leaf:
+/// The SoA arrays cost 28 bytes/node (int32 feature + double threshold +
+/// double value + two int32 children). This layout packs every tree of an
+/// ensemble into shared arenas at 12 bytes/node plus 8 bytes per leaf:
 ///
-///   feature_[n]    uint16  split feature id; 0xFFFF marks a leaf
+///   feature_[n]    uint32  split feature id; UINT32_MAX marks a leaf
 ///   threshold_[n]  float   split threshold (quantized at *build* time)
 ///   child_[n]      int32   interior: arena index of the left child, with
 ///                          the right child packed adjacently at child+1;
@@ -37,51 +37,35 @@ namespace lqo {
 class CompactForest {
  public:
   /// Sentinel feature id marking a leaf node.
-  static constexpr uint16_t kLeaf = 0xFFFF;
+  static constexpr uint32_t kLeaf = UINT32_MAX;
 
   /// Packs `trees` (children-adjacent breadth-first per tree) into the
   /// shared arenas, replacing any previous contents. Every tree must be
-  /// fitted and use feature ids < 0xFFFF.
+  /// fitted.
   void Pack(std::span<const RegressionTree> trees);
 
-  void Clear();
-
-  bool empty() const { return root_.empty(); }
-  size_t num_trees() const { return root_.size(); }
-  size_t total_nodes() const { return feature_.size(); }
-
-  /// Arena bytes per node actually paid by this ensemble (feature +
-  /// threshold + child arenas plus the leaf-value arena), for layout
-  /// comparisons in BENCH_cache.json.
+  /// Arena bytes actually paid by this ensemble (feature + threshold +
+  /// child arenas plus the leaf-value and root arenas).
   size_t bytes() const {
-    return feature_.size() * (sizeof(uint16_t) + sizeof(float) +
+    return feature_.size() * (sizeof(uint32_t) + sizeof(float) +
                               sizeof(int32_t)) +
            leaf_value_.size() * sizeof(double) +
            root_.size() * sizeof(int32_t);
   }
 
-  /// Prediction of tree `t` for one row (raw pointer, no length check).
-  double PredictRowTree(size_t t, const double* row) const;
-
   /// Serial kernel over rows [begin, end) of `x` for tree `t`, writing
-  /// out[i - begin] — the compact twin of RegressionTree::PredictRange.
-  /// Ensemble batch kernels call this per (tree, morsel).
+  /// out[i - begin]. Ensemble batch kernels call this per (tree, morsel).
   void PredictRangeTree(size_t t, const FeatureMatrix& x, size_t begin,
                         size_t end, double* out) const;
 
  private:
   // Shared arenas across all trees (layout documented above).
-  std::vector<uint16_t> feature_;
+  std::vector<uint32_t> feature_;
   std::vector<float> threshold_;
   std::vector<int32_t> child_;
   std::vector<double> leaf_value_;
   std::vector<int32_t> root_;
 };
-
-/// The GBDT reuses the identical arena layout; only the ensemble-level
-/// accumulation (base + learning-rate-scaled sums in boosting order)
-/// differs, and that lives in GradientBoostedTrees::PredictBatch.
-using CompactGbdt = CompactForest;
 
 }  // namespace lqo
 

@@ -37,22 +37,13 @@ void RandomForest::Fit(const std::vector<std::vector<double>>& rows,
         tree.Fit(rows, targets, tree_options, indices, &rng);
         return tree;
       });
-  ConfigureCompact(options_.compact_min_total_nodes);
+  compact_.Pack(trees_);
 }
 
 size_t RandomForest::total_nodes() const {
   size_t total = 0;
   for (const RegressionTree& tree : trees_) total += tree.num_nodes();
   return total;
-}
-
-void RandomForest::ConfigureCompact(size_t min_total_nodes) {
-  options_.compact_min_total_nodes = min_total_nodes;
-  if (fitted() && total_nodes() > min_total_nodes) {
-    compact_.Pack(trees_);
-  } else {
-    compact_.Clear();
-  }
 }
 
 double RandomForest::Predict(const std::vector<double>& row) const {
@@ -95,10 +86,9 @@ void RandomForest::PredictBatchWithUncertainty(
   // the outputs. Within a morsel, trees run tree-major over the whole
   // morsel (node buffers stay hot across rows) while each row's sum and
   // sum-of-squares accumulate in ensemble order — the exact additions of
-  // the scalar loop, so results match at any thread count. When the size
-  // gate packed the compact quantized layout, the per-tree kernel reads
-  // the float/uint16 arenas instead of the SoA arrays; the comparisons
-  // (and therefore the outputs) are identical by the build-time
+  // the scalar loop, so results match at any thread count. The per-tree
+  // kernel reads the compact float/uint32 arenas; its comparisons (and
+  // therefore the outputs) equal the SoA walk's by the build-time
   // quantization contract.
   constexpr size_t kMorselRows = 256;
   size_t morsels = (x.rows() + kMorselRows - 1) / kMorselRows;
@@ -110,11 +100,7 @@ void RandomForest::PredictBatchWithUncertainty(
     std::vector<double> sum(n, 0.0);
     std::vector<double> sum_sq(n, 0.0);
     for (size_t t = 0; t < trees_.size(); ++t) {
-      if (compact_.empty()) {
-        trees_[t].PredictRange(x, begin, end, tree_out.data());
-      } else {
-        compact_.PredictRangeTree(t, x, begin, end, tree_out.data());
-      }
+      compact_.PredictRangeTree(t, x, begin, end, tree_out.data());
       for (size_t i = 0; i < n; ++i) {
         double y = tree_out[i];
         sum[i] += y;

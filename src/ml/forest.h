@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ml/compact_forest.h"
+#include "ml/inference_stats.h"
 #include "ml/tree.h"
 
 namespace lqo {
@@ -15,12 +16,6 @@ struct ForestOptions {
   int num_trees = 40;
   TreeOptions tree;
   uint64_t seed = 23;
-  /// Ensembles with more than this many total nodes leave L2 residence, so
-  /// Fit() additionally packs the compact quantized layout
-  /// (ml/compact_forest.h) and the batch kernels serve from it. 0 forces
-  /// the compact layout; SIZE_MAX disables it. Predictions are identical
-  /// either way (build-time threshold quantization).
-  size_t compact_min_total_nodes = 1u << 15;
 
   ForestOptions() {
     tree.max_depth = 10;
@@ -47,9 +42,10 @@ class RandomForest {
                               double* stddev) const;
 
   /// Batch ensemble mean over all rows of `x`, bit-for-bit identical to
-  /// per-row Predict. Morsel-parallel; within a morsel trees are visited
-  /// in ensemble order (tree-major), so each row's accumulation order
-  /// matches the scalar loop exactly at any LQO_THREADS.
+  /// per-row Predict. Served from the compact arenas packed by Fit().
+  /// Morsel-parallel; within a morsel trees are visited in ensemble order
+  /// (tree-major), so each row's accumulation order matches the scalar
+  /// loop exactly at any LQO_THREADS.
   void PredictBatch(const FeatureMatrix& x, std::span<double> out) const;
 
   /// Batch mean + stddev, identical to per-row PredictWithUncertainty.
@@ -63,21 +59,15 @@ class RandomForest {
 
   bool fitted() const { return !trees_.empty(); }
 
-  /// Re-applies the compact-layout size gate with a new threshold (packs or
-  /// drops the compact arenas to match). Benches/tests use this to compare
-  /// both layouts on one fitted ensemble without refitting.
-  void ConfigureCompact(size_t min_total_nodes);
-
-  /// True when batch predictions are served from the compact layout.
-  bool compact() const { return !compact_.empty(); }
   size_t total_nodes() const;
-  /// Arena bytes of the active compact layout (0 when on the SoA path).
+  /// Arena bytes of the compact layout that serves PredictBatch.
   size_t compact_bytes() const { return compact_.bytes(); }
 
  private:
   ForestOptions options_;
   std::vector<RegressionTree> trees_;
-  /// Packed mirror of trees_; non-empty iff the size gate selected it.
+  /// Packed mirror of trees_ (scalar Predict walks trees_, PredictBatch
+  /// reads this).
   CompactForest compact_;
   mutable InferenceCounters inference_;
 };

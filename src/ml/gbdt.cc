@@ -11,27 +11,6 @@
 #include "common/thread_pool.h"
 
 namespace lqo {
-namespace {
-
-// Longest root-to-leaf path (in edges) of a fitted tree's SoA arrays.
-// Leaves store -1 children, so the walk terminates at them.
-int TreeDepth(const RegressionTree& tree) {
-  std::span<const int32_t> left = tree.node_left();
-  std::span<const int32_t> right = tree.node_right();
-  if (left.empty()) return 0;
-  std::vector<std::pair<int32_t, int>> stack = {{0, 0}};
-  int depth = 0;
-  while (!stack.empty()) {
-    auto [node, d] = stack.back();
-    stack.pop_back();
-    depth = std::max(depth, d);
-    if (left[node] >= 0) stack.push_back({left[node], d + 1});
-    if (right[node] >= 0) stack.push_back({right[node], d + 1});
-  }
-  return depth;
-}
-
-}  // namespace
 
 void GradientBoostedTrees::Fit(const std::vector<std::vector<double>>& rows,
                                const std::vector<double>& targets) {
@@ -70,22 +49,7 @@ void GradientBoostedTrees::Fit(const std::vector<std::vector<double>>& rows,
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;
-  ConfigureCompact(options_.compact_min_total_nodes);
-}
-
-size_t GradientBoostedTrees::total_nodes() const {
-  size_t total = 0;
-  for (const RegressionTree& tree : trees_) total += tree.num_nodes();
-  return total;
-}
-
-void GradientBoostedTrees::ConfigureCompact(size_t min_total_nodes) {
-  options_.compact_min_total_nodes = min_total_nodes;
-  if (fitted_ && total_nodes() > min_total_nodes) {
-    compact_.Pack(trees_);
-  } else {
-    compact_.Clear();
-  }
+  compact_.Pack(trees_);
 }
 
 double GradientBoostedTrees::Predict(const std::vector<double>& row) const {
@@ -104,97 +68,21 @@ void GradientBoostedTrees::PredictBatch(const FeatureMatrix& x,
   if (x.empty()) return;
   ScopedInferenceTimer timer(&inference_, x.rows());
 
+  // Morsel-chunked over rows; each morsel owns its slice of `out`. Within
+  // a morsel the trees run tree-major over the compact arenas (each tree's
+  // nodes stay hot across the morsel) while every row accumulates
+  // base + lr * tree_t in boosting order — the scalar loop's additions, and
+  // the same comparisons by the build-time quantization contract.
   constexpr size_t kMorselRows = 256;
   size_t morsels = (x.rows() + kMorselRows - 1) / kMorselRows;
-  // Boosted trees are shallow; when the whole ensemble's SoA node arrays
-  // are cache-resident, a row-major walk (scalar Predict's exact FP order,
-  // no tree_out scratch traffic) is fastest. Huge ensembles fall back to
-  // tree-major blocks so each tree's nodes stay hot across the morsel, and
-  // when the size gate packed the compact quantized layout that kernel
-  // reads the float/uint16 arenas instead of the SoA arrays. Every kernel
-  // accumulates per row in boosting order — identical results (the compact
-  // comparisons match by the build-time quantization contract); the cutoff
-  // depends on the model alone, never the input.
-  constexpr size_t kCacheResidentTotalNodes = 1u << 15;
-  size_t soa_nodes = total_nodes();
-  // Exact per-tree descent lengths, computed once per batch: the lockstep
-  // kernel below iterates each tree for its true depth instead of
-  // re-checking lane liveness, which would cost an extra all-leaf pass
-  // per tree (a ~20% tax on depth-4 boosted trees).
-  std::vector<int> tree_depths;
-  if (compact_.empty() && soa_nodes <= kCacheResidentTotalNodes) {
-    tree_depths.reserve(trees_.size());
-    for (const RegressionTree& tree : trees_) {
-      tree_depths.push_back(TreeDepth(tree));
-    }
-  }
   auto run_morsel = [&](size_t m) {
     size_t begin = m * kMorselRows;
     size_t end = std::min(x.rows(), begin + kMorselRows);
     size_t n = end - begin;
-    if (compact_.empty() && soa_nodes <= kCacheResidentTotalNodes) {
-      // Interleaved lockstep kernel: kLanes independent root-to-leaf
-      // descents advance together through each tree, so the (serially
-      // dependent) node lookups of one lane overlap the others' instead of
-      // stalling the pipeline. The descent direction is a conditional move,
-      // lanes that reach a leaf early hold position (leaves are
-      // self-consistent: feature -1, so `interior` stays false), the loop
-      // runs exactly tree_depths[t] iterations, and each lane accumulates
-      // its leaf value in boosting order from base_prediction_ — the exact
-      // comparisons and FP addition order of per-row Predict.
-      constexpr size_t kLanes = 8;
-      const double lr = options_.learning_rate;
-      size_t r = begin;
-      for (; r + kLanes <= end; r += kLanes) {
-        const double* rows[kLanes];
-        double acc[kLanes];
-        for (size_t j = 0; j < kLanes; ++j) {
-          rows[j] = x.Row(r + j);
-          acc[j] = base_prediction_;
-        }
-        for (size_t t = 0; t < trees_.size(); ++t) {
-          const RegressionTree& tree = trees_[t];
-          const int32_t* feature = tree.node_features().data();
-          const double* threshold = tree.node_thresholds().data();
-          const double* value = tree.node_values().data();
-          const int32_t* left = tree.node_left().data();
-          const int32_t* right = tree.node_right().data();
-          int32_t idx[kLanes] = {};
-          for (int d = 0; d < tree_depths[t]; ++d) {
-            for (size_t j = 0; j < kLanes; ++j) {
-              int32_t i = idx[j];
-              int32_t f = feature[i];
-              bool interior = f >= 0;
-              size_t fi = interior ? static_cast<size_t>(f) : 0;
-              int32_t next = rows[j][fi] <= threshold[i] ? left[i] : right[i];
-              idx[j] = interior ? next : i;
-            }
-          }
-          for (size_t j = 0; j < kLanes; ++j) {
-            acc[j] += lr * value[idx[j]];
-          }
-        }
-        for (size_t j = 0; j < kLanes; ++j) out[r + j] = acc[j];
-      }
-      // Remainder lanes (< kLanes rows) take the per-row walk.
-      for (; r < end; ++r) {
-        const double* row = x.Row(r);
-        double y = base_prediction_;
-        for (const RegressionTree& tree : trees_) {
-          y += options_.learning_rate * tree.PredictRow(row);
-        }
-        out[r] = y;
-      }
-      return;
-    }
     std::vector<double> tree_out(n);
     for (size_t i = 0; i < n; ++i) out[begin + i] = base_prediction_;
     for (size_t t = 0; t < trees_.size(); ++t) {
-      if (compact_.empty()) {
-        trees_[t].PredictRange(x, begin, end, tree_out.data());
-      } else {
-        compact_.PredictRangeTree(t, x, begin, end, tree_out.data());
-      }
+      compact_.PredictRangeTree(t, x, begin, end, tree_out.data());
       for (size_t i = 0; i < n; ++i) {
         out[begin + i] += options_.learning_rate * tree_out[i];
       }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ml/compact_forest.h"
+#include "ml/inference_stats.h"
 #include "ml/tree.h"
 
 namespace lqo {
@@ -18,12 +19,6 @@ struct GbdtOptions {
   /// Row subsampling per tree (stochastic gradient boosting); 1.0 = all.
   double subsample = 0.8;
   uint64_t seed = 17;
-  /// Ensembles with more than this many total nodes leave L2 residence, so
-  /// Fit() additionally packs the compact quantized layout
-  /// (ml/compact_forest.h) and PredictBatch serves from it. 0 forces the
-  /// compact layout; SIZE_MAX disables it. Predictions are identical either
-  /// way (build-time threshold quantization).
-  size_t compact_min_total_nodes = 1u << 15;
 
   GbdtOptions() { tree.max_depth = 4; }
 };
@@ -42,9 +37,10 @@ class GradientBoostedTrees {
   double Predict(const std::vector<double>& row) const;
 
   /// Batch prediction over all rows of `x`, bit-for-bit identical to
-  /// per-row Predict. Morsel-parallel; within a morsel the boosted trees
-  /// run tree-major, each row accumulating base + lr * tree_t in boosting
-  /// order — the scalar loop's additions — at any LQO_THREADS.
+  /// per-row Predict. Served from the compact arenas packed by Fit().
+  /// Morsel-parallel; within a morsel the boosted trees run tree-major,
+  /// each row accumulating base + lr * tree_t in boosting order — the
+  /// scalar loop's additions — at any LQO_THREADS.
   void PredictBatch(const FeatureMatrix& x, std::span<double> out) const;
 
   /// Batched-inference counters (rows scored via PredictBatch).
@@ -53,23 +49,13 @@ class GradientBoostedTrees {
   bool fitted() const { return fitted_; }
   size_t num_trees() const { return trees_.size(); }
 
-  /// Re-applies the compact-layout size gate with a new threshold (packs or
-  /// drops the compact arenas to match). Benches/tests use this to compare
-  /// both layouts on one fitted ensemble without refitting.
-  void ConfigureCompact(size_t min_total_nodes);
-
-  /// True when batch predictions are served from the compact layout.
-  bool compact() const { return !compact_.empty(); }
-  size_t total_nodes() const;
-  /// Arena bytes of the active compact layout (0 when on the SoA path).
-  size_t compact_bytes() const { return compact_.bytes(); }
-
  private:
   GbdtOptions options_;
   double base_prediction_ = 0.0;
   std::vector<RegressionTree> trees_;
-  /// Packed mirror of trees_; non-empty iff the size gate selected it.
-  CompactGbdt compact_;
+  /// Packed mirror of trees_ (scalar Predict walks trees_, PredictBatch
+  /// reads this).
+  CompactForest compact_;
   bool fitted_ = false;
   mutable InferenceCounters inference_;
 };

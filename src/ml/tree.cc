@@ -17,21 +17,6 @@ double MeanOf(const std::vector<double>& targets,
   return sum / static_cast<double>(end - begin);
 }
 
-// Rows per batch-traversal block: small enough that the block's feature
-// values and node cursors stay in L1, large enough to amortize the level
-// loop. Affects layout of work only, never results.
-constexpr size_t kTraversalBlock = 64;
-
-// Rows per parallel morsel in PredictBatch (a multiple of the traversal
-// block). Size-derived, so the parallel split cannot affect results.
-constexpr size_t kMorselRows = 512;
-
-// Node-count cutoff between the two batch kernels: below it the SoA node
-// arrays (~28 bytes/node) fit comfortably in L2, so a tight per-row walk
-// wins; above it the level-synchronous sweep keeps each level's nodes hot
-// across the row block. Depends on the tree alone, never on the input.
-constexpr size_t kCacheResidentNodes = 1u << 15;
-
 }  // namespace
 
 void RegressionTree::Fit(const std::vector<std::vector<double>>& rows,
@@ -158,9 +143,10 @@ int RegressionTree::BuildNode(const std::vector<std::vector<double>>& rows,
 
   // Quantize the threshold to float *before* partitioning, so the split the
   // tree trains on is exactly the split the compact quantized layout
-  // (ml/compact_forest.h) serves: every stored double threshold is float
-  // representable, making `row[f] <= threshold` bitwise identical whether
-  // the comparison reads the double SoA array or the float compact array.
+  // (ml/compact_forest.h) serves to every ensemble PredictBatch: every
+  // stored double threshold is float representable, making
+  // `row[f] <= threshold` bitwise identical whether the comparison reads
+  // the double SoA array (scalar Predict) or the float compact array.
   // Degenerate quantized splits (all rows on one side) fall into the
   // existing mid == begin/end guard below.
   best_threshold = static_cast<double>(static_cast<float>(best_threshold));
@@ -188,77 +174,13 @@ int RegressionTree::BuildNode(const std::vector<std::vector<double>>& rows,
 
 double RegressionTree::Predict(const std::vector<double>& row) const {
   LQO_CHECK(fitted());
-  return PredictRow(row.data());
-}
-
-double RegressionTree::PredictRow(const double* row) const {
-  int32_t index = 0;
+  size_t index = 0;
   while (true) {
-    int32_t f = feature_[static_cast<size_t>(index)];
-    if (f < 0) return value_[static_cast<size_t>(index)];
-    index = row[f] <= threshold_[static_cast<size_t>(index)]
-                ? left_[static_cast<size_t>(index)]
-                : right_[static_cast<size_t>(index)];
+    int32_t f = feature_[index];
+    if (f < 0) return value_[index];
+    bool go_left = row[static_cast<size_t>(f)] <= threshold_[index];
+    index = static_cast<size_t>(go_left ? left_[index] : right_[index]);
   }
-}
-
-void RegressionTree::PredictRange(const FeatureMatrix& x, size_t begin,
-                                  size_t end, double* out) const {
-  // Cache-resident trees: the whole SoA layout stays hot, so per-row
-  // traversal with zero bookkeeping is fastest. Identical comparisons to
-  // Predict either way.
-  if (feature_.size() <= kCacheResidentNodes) {
-    for (size_t r = begin; r < end; ++r) {
-      out[r - begin] = PredictRow(x.Row(r));
-    }
-    return;
-  }
-  // Level-synchronous traversal over row blocks: every live row in the
-  // block advances one level per sweep, so the SoA node buffers are
-  // revisited while hot instead of once per row. Each row still takes
-  // exactly the comparisons Predict takes — identical results.
-  int32_t cursor[kTraversalBlock];
-  for (size_t block = begin; block < end; block += kTraversalBlock) {
-    size_t block_rows = std::min(kTraversalBlock, end - block);
-    for (size_t i = 0; i < block_rows; ++i) cursor[i] = 0;
-    size_t live = block_rows;
-    while (live > 0) {
-      live = 0;
-      for (size_t i = 0; i < block_rows; ++i) {
-        int32_t node = cursor[i];
-        if (node < 0) continue;
-        int32_t f = feature_[static_cast<size_t>(node)];
-        if (f < 0) {
-          out[block - begin + i] = value_[static_cast<size_t>(node)];
-          cursor[i] = -1;
-          continue;
-        }
-        const double* row = x.Row(block + i);
-        cursor[i] = row[f] <= threshold_[static_cast<size_t>(node)]
-                        ? left_[static_cast<size_t>(node)]
-                        : right_[static_cast<size_t>(node)];
-        ++live;
-      }
-    }
-  }
-}
-
-void RegressionTree::PredictBatch(const FeatureMatrix& x,
-                                  std::span<double> out) const {
-  LQO_CHECK(fitted());
-  LQO_CHECK_EQ(x.rows(), out.size());
-  if (x.empty()) return;
-  ScopedInferenceTimer timer(&inference_, x.rows());
-  size_t morsels = (x.rows() + kMorselRows - 1) / kMorselRows;
-  if (morsels <= 1) {
-    PredictRange(x, 0, x.rows(), out.data());
-    return;
-  }
-  ParallelFor(morsels, [&](size_t m) {
-    size_t begin = m * kMorselRows;
-    size_t end = std::min(x.rows(), begin + kMorselRows);
-    PredictRange(x, begin, end, out.data() + begin);
-  });
 }
 
 }  // namespace lqo

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/dataset.h"
-#include "ml/inference_stats.h"
 
 namespace lqo {
 
@@ -24,8 +22,8 @@ struct TreeOptions {
 /// XGBoost" row of the paper's Table 1 (Dutt et al. [10], [9]).
 ///
 /// Nodes are stored structure-of-arrays (parallel feature / threshold /
-/// value / left / right buffers) so batch traversal streams four small
-/// contiguous arrays instead of striding over an array of node structs.
+/// value / left / right buffers). Training and scalar Predict use them;
+/// batch inference reads the ensembles' compact arenas instead.
 class RegressionTree {
  public:
   /// Fits on the rows selected by `indices` (all rows if empty). When
@@ -36,31 +34,14 @@ class RegressionTree {
            const std::vector<size_t>& indices = {}, Rng* rng = nullptr);
 
   double Predict(const std::vector<double>& row) const;
-  /// Raw-pointer variant used by the batch kernels (no length check).
-  double PredictRow(const double* row) const;
-
-  /// Batch prediction over all rows of `x`, bit-for-bit identical to
-  /// per-row Predict. Morsel-parallel over the global pool; each morsel
-  /// writes its own index-addressed slice of `out`, so results are the
-  /// same at any LQO_THREADS. Records inference counters.
-  void PredictBatch(const FeatureMatrix& x, std::span<double> out) const;
-
-  /// Serial block-traversal kernel over rows [begin, end), writing
-  /// out[i - begin]. Ensemble batch kernels call this per morsel (their
-  /// own counters then cover the whole ensemble batch).
-  void PredictRange(const FeatureMatrix& x, size_t begin, size_t end,
-                    double* out) const;
-
-  /// Batched-inference counters (rows scored via PredictBatch).
-  InferenceStatsSnapshot Stats() const { return inference_.Snapshot(); }
 
   bool fitted() const { return !feature_.empty(); }
   size_t num_nodes() const { return feature_.size(); }
 
-  /// Read-only views of the SoA node arrays, for packing into the compact
-  /// quantized layout (ml/compact_forest.h). Thresholds are quantized to
-  /// float at build time, so every stored double is exactly float
-  /// representable (see BuildNode).
+  /// Read-only views of the SoA node arrays. Ensembles pack them into the
+  /// compact quantized layout (ml/compact_forest.h) that serves every batch
+  /// prediction. Thresholds are quantized to float at build time, so every
+  /// stored double is exactly float representable (see BuildNode).
   std::span<const int32_t> node_features() const { return feature_; }
   std::span<const double> node_thresholds() const { return threshold_; }
   std::span<const double> node_values() const { return value_; }
@@ -83,8 +64,6 @@ class RegressionTree {
   std::vector<double> value_;
   std::vector<int32_t> left_;
   std::vector<int32_t> right_;
-
-  mutable InferenceCounters inference_;
 };
 
 }  // namespace lqo

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ml/chow_liu.h"
-#include "ml/compact_forest.h"
 #include "ml/dataset.h"
 #include "ml/feature_cache.h"
 #include "ml/forest.h"
@@ -409,18 +408,6 @@ FeatureMatrix ToMatrix(const std::vector<std::vector<double>>& rows) {
   return matrix;
 }
 
-TEST(BatchInferenceTest, TreeMatchesScalarBitForBit) {
-  MlDataset data = MakeNonlinearData(500, 31);
-  RegressionTree tree;
-  tree.Fit(data.rows, data.targets, TreeOptions());
-  FeatureMatrix matrix = ToMatrix(data.rows);
-  std::vector<double> batch(matrix.rows());
-  tree.PredictBatch(matrix, batch);
-  for (size_t i = 0; i < data.rows.size(); ++i) {
-    EXPECT_EQ(batch[i], tree.Predict(data.rows[i])) << "row " << i;
-  }
-}
-
 TEST(BatchInferenceTest, ForestMatchesScalarIncludingUncertainty) {
   MlDataset data = MakeNonlinearData(400, 32);
   RandomForest forest;
@@ -441,14 +428,47 @@ TEST(BatchInferenceTest, ForestMatchesScalarIncludingUncertainty) {
 
 TEST(BatchInferenceTest, GbdtMatchesScalarBitForBit) {
   MlDataset data = MakeNonlinearData(500, 33);
-  GradientBoostedTrees gbdt;
-  gbdt.Fit(data.rows, data.targets);
   FeatureMatrix matrix = ToMatrix(data.rows);
-  std::vector<double> batch(matrix.rows());
-  gbdt.PredictBatch(matrix, batch);
-  for (size_t i = 0; i < data.rows.size(); ++i) {
-    EXPECT_EQ(batch[i], gbdt.Predict(data.rows[i])) << "row " << i;
+  // The default model, and a much larger 200-tree depth-8 one.
+  GbdtOptions deep;
+  deep.num_trees = 200;
+  deep.tree.max_depth = 8;
+  for (const GbdtOptions& options : {GbdtOptions(), deep}) {
+    GradientBoostedTrees gbdt(options);
+    gbdt.Fit(data.rows, data.targets);
+    std::vector<double> batch(matrix.rows());
+    gbdt.PredictBatch(matrix, batch);
+    for (size_t i = 0; i < data.rows.size(); ++i) {
+      EXPECT_EQ(batch[i], gbdt.Predict(data.rows[i]))
+          << "trees " << options.num_trees << " row " << i;
+    }
   }
+}
+
+// Feature ids past 0xFFFF: QueryFeaturizer is 4 slots per catalog column
+// wide, so a large catalog's split features must still pack and predict.
+TEST(BatchInferenceTest, GbdtPacksFeatureIdsPastUint16) {
+  constexpr size_t kFeatures = 70000;
+  constexpr size_t kRows = 32;
+  std::vector<std::vector<double>> rows(kRows,
+                                        std::vector<double>(kFeatures, 0.0));
+  std::vector<double> targets(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    rows[i][kFeatures - 1] = static_cast<double>(i);
+    targets[i] = i < kRows / 2 ? -1.0 : 1.0;
+  }
+  GbdtOptions options;
+  options.num_trees = 1;
+  options.tree.max_depth = 1;
+  GradientBoostedTrees gbdt(options);
+  gbdt.Fit(rows, targets);
+  FeatureMatrix matrix = ToMatrix(rows);
+  std::vector<double> batch(kRows);
+  gbdt.PredictBatch(matrix, batch);
+  for (size_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(batch[i], gbdt.Predict(rows[i])) << "row " << i;
+  }
+  EXPECT_LT(batch.front(), batch.back());  // the split on feature 69999
 }
 
 TEST(BatchInferenceTest, MlpMatchesScalarBitForBit) {
@@ -526,82 +546,11 @@ TEST(BatchInferenceTest, StatsCountRowsAndBatches) {
   EXPECT_GE(delta.RowsPerSec(), 0.0);
 }
 
-// -- Compact quantized layouts: ConfigureCompact(0) forces the packed
-// arenas; predictions must be bit-for-bit the SoA traversal's, because
-// thresholds are quantized to float at build time. --
-
-TEST(BatchInferenceTest, CompactForestMatchesScalarBitForBit) {
-  MlDataset data = MakeNonlinearData(500, 38);
-  RandomForest forest;
-  forest.Fit(data.rows, data.targets);
-  forest.ConfigureCompact(0);  // force the compact layout
-  ASSERT_TRUE(forest.compact());
-  EXPECT_GT(forest.compact_bytes(), 0u);
-  FeatureMatrix matrix = ToMatrix(data.rows);
-  std::vector<double> batch(matrix.rows());
-  forest.PredictBatch(matrix, batch);
-  std::vector<double> means(matrix.rows()), stddevs(matrix.rows());
-  forest.PredictBatchWithUncertainty(matrix, means, stddevs);
-  for (size_t i = 0; i < data.rows.size(); ++i) {
-    EXPECT_EQ(batch[i], forest.Predict(data.rows[i])) << "row " << i;
-    double mean = 0.0, stddev = 0.0;
-    forest.PredictWithUncertainty(data.rows[i], &mean, &stddev);
-    EXPECT_EQ(means[i], mean) << "row " << i;
-    EXPECT_EQ(stddevs[i], stddev) << "row " << i;
-  }
-}
-
-TEST(BatchInferenceTest, CompactGbdtMatchesScalarBitForBit) {
-  MlDataset data = MakeNonlinearData(500, 39);
-  GradientBoostedTrees gbdt;
-  gbdt.Fit(data.rows, data.targets);
-  gbdt.ConfigureCompact(0);  // force the compact layout
-  ASSERT_TRUE(gbdt.compact());
-  FeatureMatrix matrix = ToMatrix(data.rows);
-  std::vector<double> batch(matrix.rows());
-  gbdt.PredictBatch(matrix, batch);
-  for (size_t i = 0; i < data.rows.size(); ++i) {
-    EXPECT_EQ(batch[i], gbdt.Predict(data.rows[i])) << "row " << i;
-  }
-  // Flipping back to the SoA layout must not change a single bit either.
-  std::vector<double> soa(matrix.rows());
-  gbdt.ConfigureCompact(SIZE_MAX);
-  EXPECT_FALSE(gbdt.compact());
-  gbdt.PredictBatch(matrix, soa);
-  EXPECT_EQ(batch, soa);
-}
-
-TEST(BatchInferenceTest, CompactLayoutIsThreadCountInvariant) {
-  MlDataset data = MakeNonlinearData(1200, 40);
-  RandomForest forest;
-  forest.Fit(data.rows, data.targets);
-  forest.ConfigureCompact(0);
-  GradientBoostedTrees gbdt;
-  gbdt.Fit(data.rows, data.targets);
-  gbdt.ConfigureCompact(0);
-  FeatureMatrix matrix = ToMatrix(data.rows);
-
-  auto predict_all = [&](int threads) {
-    ThreadPool::SetGlobalThreads(threads);
-    std::vector<double> out(2 * matrix.rows());
-    std::span<double> all(out);
-    forest.PredictBatch(matrix, all.subspan(0, matrix.rows()));
-    gbdt.PredictBatch(matrix, all.subspan(matrix.rows(), matrix.rows()));
-    return out;
-  };
-  std::vector<double> serial = predict_all(1);
-  std::vector<double> two = predict_all(2);
-  std::vector<double> eight = predict_all(8);
-  ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
-  EXPECT_EQ(serial, two);
-  EXPECT_EQ(serial, eight);
-}
-
 // The compact layout narrows thresholds to float, which is only lossless
 // because BuildNode snaps every chosen split threshold to a
 // float-representable double before partitioning. This pins that build
 // contract directly (CompactForest::Pack also CHECKs it when packing).
-TEST(CompactForestTest, FitThresholdsAreFloatRepresentable) {
+TEST(RegressionTreeTest, FitThresholdsAreFloatRepresentable) {
   MlDataset data = MakeNonlinearData(800, 41);
   RegressionTree tree;
   tree.Fit(data.rows, data.targets, TreeOptions());
@@ -622,11 +571,10 @@ TEST(CompactForestTest, CompactBytesAreSmallerThanSoa) {
   MlDataset data = MakeNonlinearData(800, 42);
   RandomForest forest;
   forest.Fit(data.rows, data.targets);
-  forest.ConfigureCompact(0);
   // SoA per node: int32 feature + double threshold + double value +
-  // 2x int32 children = 28 bytes. Compact: uint16 + float + int32 = 10 per
+  // 2x int32 children = 28 bytes. Compact: uint32 + float + int32 = 12 per
   // node, plus an 8-byte leaf value per leaf (roughly half the nodes) and
-  // a root index per tree — about half the SoA footprint for leafy trees.
+  // a root index per tree — under 60% of the SoA footprint.
   size_t soa_bytes = forest.total_nodes() * 28;
   EXPECT_GT(forest.compact_bytes(), 0u);
   EXPECT_LT(forest.compact_bytes(), (soa_bytes * 3) / 5);
