@@ -28,12 +28,16 @@ InjectionResult RunWithEstimator(Lab& lab, const Workload& workload,
   InjectionResult result;
   for (const Query& query : workload.queries) {
     CardinalityProvider provider(lab.estimator.get());
-    // Batch injection: override every sub-query the optimizer will ask for,
-    // exactly as the PilotScope CE driver does.
+    // Batch injection: override every sub-query the optimizer will ask for
+    // from one estimator batch, exactly as the PilotScope CE driver does.
+    std::vector<Subquery> subqueries;
     for (TableSet set : ConnectedSubsets(query)) {
-      Subquery subquery{&query, set};
-      provider.InjectOverride(subquery.Key(),
-                              estimator->EstimateSubquery(subquery));
+      subqueries.push_back(Subquery{&query, set});
+    }
+    std::vector<double> estimates =
+        estimator->EstimateSubqueryBatch(subqueries);
+    for (size_t i = 0; i < subqueries.size(); ++i) {
+      provider.InjectOverride(subqueries[i].Key(), estimates[i]);
     }
     PhysicalPlan plan = lab.optimizer->Optimize(query, &provider).plan;
     auto exec = lab.executor->Execute(plan);

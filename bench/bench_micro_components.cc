@@ -76,17 +76,42 @@ void BM_SpnEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_SpnEstimate);
 
-void BM_DpPlanning(benchmark::State& state) {
-  MicroFixture& f = Fixture();
-  CardinalityProvider cards(f.lab->estimator.get());
+// Plans one query per iteration against a fresh provider, as NativePlan
+// builds one per query: every estimate is a memo miss, so the time covers
+// cardinality estimation as well as the DP.
+void PlanEach(benchmark::State& state, const Lab& lab,
+              const std::vector<Query>& queries) {
   size_t i = 0;
   for (auto _ : state) {
-    const Query& q = f.workload.queries[i++ % f.workload.queries.size()];
-    benchmark::DoNotOptimize(f.lab->optimizer->Optimize(q, &cards));
+    const Query& q = queries[i++ % queries.size()];
+    CardinalityProvider cards(lab.estimator.get());
+    benchmark::DoNotOptimize(lab.optimizer->Optimize(q, &cards));
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_DpPlanning(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  PlanEach(state, *f.lab, f.workload.queries);
+}
 BENCHMARK(BM_DpPlanning);
+
+// The plan_chain shape: 12-way chain joins over 200-row tables.
+void BM_DpPlanningChain12(benchmark::State& state) {
+  static Lab* lab =
+      MakeLabFromCatalog(MakeChainSchema(12, 200, 42)).release();
+  static std::vector<Query>* queries = [] {
+    WorkloadOptions options;
+    options.num_queries = 16;
+    options.min_tables = 12;
+    options.max_tables = 12;
+    options.seed = 77;
+    return new std::vector<Query>(
+        GenerateWorkload(lab->catalog, options).queries);
+  }();
+  PlanEach(state, *lab, *queries);
+}
+BENCHMARK(BM_DpPlanningChain12);
 
 void BM_ExecuteNativePlan(benchmark::State& state) {
   MicroFixture& f = Fixture();

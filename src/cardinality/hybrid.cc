@@ -56,19 +56,19 @@ std::vector<double> UaeEstimator::EstimateSubqueryBatch(
   if (subqueries.empty()) return {};
   // Data-model estimates and featurization are both per-row and
   // re-entrant, so they share one index-addressed parallel sweep; the
-  // corrector then scores the whole matrix in one batched pass. Uses
-  // member scratch: one batch call at a time (concurrent planners reach
-  // the estimator through the re-entrant scalar EstimateSubquery).
-  batch_scratch_.Reset(featurizer_.dim());
-  batch_scratch_.Reserve(subqueries.size());
-  for (size_t i = 0; i < subqueries.size(); ++i) batch_scratch_.AppendRow();
+  // corrector then scores the whole matrix in one batched pass. The matrix
+  // is per call: planners of concurrent sessions reach one shared
+  // estimator through this batch path.
+  FeatureMatrix features(featurizer_.dim());
+  features.Reserve(subqueries.size());
+  for (size_t i = 0; i < subqueries.size(); ++i) features.AppendRow();
   std::vector<double> data_estimates(subqueries.size());
   ParallelFor(subqueries.size(), [&](size_t i) {
     data_estimates[i] = data_model_.EstimateSubquery(subqueries[i]);
-    featurizer_.FeaturizeInto(subqueries[i], batch_scratch_.MutableRow(i));
+    featurizer_.FeaturizeInto(subqueries[i], features.MutableRow(i));
   });
   std::vector<double> corrections(subqueries.size());
-  corrector_.PredictBatch(batch_scratch_, corrections);
+  corrector_.PredictBatch(features, corrections);
   std::vector<double> estimates(subqueries.size());
   for (size_t i = 0; i < subqueries.size(); ++i) {
     double correction = std::clamp(corrections[i], -20.0, 20.0);

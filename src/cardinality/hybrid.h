@@ -27,7 +27,7 @@ class UaeEstimator : public CardinalityEstimatorInterface {
   double EstimateSubquery(const Subquery& subquery) override;
 
   /// Batched estimation: data-model estimates fan out over the pool while
-  /// the corrector runs one batched GBDT pass over a reusable feature
+  /// the corrector runs one batched GBDT pass over a per-call feature
   /// matrix — element i bit-identical to EstimateSubquery(subqueries[i]).
   std::vector<double> EstimateSubqueryBatch(
       const std::vector<Subquery>& subqueries) override;
@@ -45,8 +45,6 @@ class UaeEstimator : public CardinalityEstimatorInterface {
   QueryFeaturizer featurizer_;
   GradientBoostedTrees corrector_;
   bool trained_ = false;
-  /// Reused across EstimateSubqueryBatch calls (capacity persists).
-  FeatureMatrix batch_scratch_;
 };
 
 /// GLUE-style estimator [82]: picks the best per-table model family by

@@ -139,30 +139,29 @@ std::vector<double> QueryDrivenEstimator::EstimateSubqueryBatch(
     const std::vector<Subquery>& subqueries) {
   LQO_CHECK(trained_) << Name() << " used before Train()";
   if (subqueries.empty()) return {};
-  // Featurize the whole batch into one reusable matrix (parallel,
-  // index-addressed rows), run one batched model pass, then apply the
-  // scalar path's clamp/exp per row. Uses member scratch: one batch call
-  // at a time (concurrent planners reach the estimator through the scalar
-  // EstimateSubquery, which stays re-entrant).
-  batch_scratch_.Reset(featurizer_.dim());
-  batch_scratch_.Reserve(subqueries.size());
-  for (size_t i = 0; i < subqueries.size(); ++i) batch_scratch_.AppendRow();
+  // Featurize the whole batch into one matrix (parallel, index-addressed
+  // rows), run one batched model pass, then apply the scalar path's
+  // clamp/exp per row. The matrix is per call: planners of concurrent
+  // sessions reach one shared estimator through this batch path.
+  FeatureMatrix features(featurizer_.dim());
+  features.Reserve(subqueries.size());
+  for (size_t i = 0; i < subqueries.size(); ++i) features.AppendRow();
   ParallelFor(subqueries.size(), [&](size_t i) {
-    featurizer_.FeaturizeInto(subqueries[i], batch_scratch_.MutableRow(i));
+    featurizer_.FeaturizeInto(subqueries[i], features.MutableRow(i));
   });
   std::vector<double> estimates(subqueries.size());
   switch (type_) {
     case ModelType::kLinear:
-      linear_.PredictBatch(batch_scratch_, estimates);
+      linear_.PredictBatch(features, estimates);
       break;
     case ModelType::kGbdt:
-      gbdt_.PredictBatch(batch_scratch_, estimates);
+      gbdt_.PredictBatch(features, estimates);
       break;
     case ModelType::kMlp:
-      mlp_.PredictBatch(batch_scratch_, estimates);
+      mlp_.PredictBatch(features, estimates);
       break;
     case ModelType::kForest:
-      forest_.PredictBatch(batch_scratch_, estimates);
+      forest_.PredictBatch(features, estimates);
       break;
   }
   for (double& e : estimates) e = std::exp(std::clamp(e, 0.0, 60.0));

@@ -48,7 +48,7 @@ class QueryDrivenEstimator : public CardinalityEstimatorInterface {
 
   double EstimateSubquery(const Subquery& subquery) override;
 
-  /// Batched estimation: all sub-queries featurize into one reusable
+  /// Batched estimation: all sub-queries featurize into one per-call
   /// feature matrix and the underlying model runs a single PredictBatch
   /// pass — element i bit-identical to EstimateSubquery(subqueries[i]).
   std::vector<double> EstimateSubqueryBatch(
@@ -92,8 +92,6 @@ class QueryDrivenEstimator : public CardinalityEstimatorInterface {
   Mlp mlp_;
   RandomForest forest_;
   bool trained_ = false;
-  /// Reused across EstimateSubqueryBatch calls (capacity persists).
-  FeatureMatrix batch_scratch_;
 };
 
 /// QuickSel-style mixture model [47]: per table, selectivity is modeled as

@@ -2,6 +2,7 @@
 #define LQO_OPTIMIZER_BASELINE_ESTIMATOR_H_
 
 #include <string>
+#include <vector>
 
 #include "optimizer/cardinality_interface.h"
 #include "optimizer/table_stats.h"
@@ -23,6 +24,13 @@ class BaselineCardinalityEstimator : public CardinalityEstimatorInterface {
       : catalog_(catalog), stats_(stats) {}
 
   double EstimateSubquery(const Subquery& subquery) override;
+
+  /// Serial batch: the per-table and per-join terms are computed once per
+  /// run of sub-queries over the same query, then each sub-query is the
+  /// same product and quotients EstimateSubquery() computes, bit for bit.
+  std::vector<double> EstimateSubqueryBatch(
+      const std::vector<Subquery>& subqueries) override;
+
   std::string Name() const override { return "postgres_baseline"; }
 
   /// Selectivity of all local predicates of `table_index` in `query`
@@ -31,6 +39,11 @@ class BaselineCardinalityEstimator : public CardinalityEstimatorInterface {
   double TableSelectivity(const Query& query, int table_index) const;
 
  private:
+  /// Filtered row count of one table: rows * TableSelectivity().
+  double TableFactor(const Query& query, int table_index) const;
+  /// Join selectivity divisor of one conjunct: max(ndv_left, ndv_right, 1).
+  double JoinDivisor(const Query& query, const QueryJoin& join) const;
+
   const Catalog* catalog_;
   const StatsCatalog* stats_;
 };

@@ -30,7 +30,13 @@ class CardinalityEstimatorInterface {
   /// EstimateSubquery(subqueries[i]) bit-for-bit. The default fans the
   /// scalar path out over the thread pool (index-addressed slots); learned
   /// estimators override it to featurize the batch into one matrix and run
-  /// a single batched model pass.
+  /// a single batched model pass, and the baseline computes its per-table
+  /// and per-join terms once per query.
+  ///
+  /// Contract: re-entrant, like EstimateSubquery. The DP planner resolves
+  /// every connected subset of a plan through one batch, and concurrent
+  /// sessions share one estimator, so an override keeps its scratch (the
+  /// feature matrix included) per call, never in a member.
   virtual std::vector<double> EstimateSubqueryBatch(
       const std::vector<Subquery>& subqueries);
 
@@ -49,11 +55,17 @@ struct CardinalityCacheStats {
 ///  - per-sub-query overrides (the learned-CE driver pushes these), and
 ///  - a multiplicative scale applied to estimates of sub-queries with at
 ///    least `min_tables` tables (Lero's cardinality-scaling knob).
-/// Estimates are memoized under the precomputed structural hash
-/// Subquery::KeyHash(), so repeat lookups (the DP probes every connected
-/// subset many times across candidate splits) never rebuild the canonical
-/// string key; the string is only materialized once per miss, to consult
-/// the override table.
+/// Estimates are memoized under the structural hash Subquery::KeyHash(),
+/// so repeat lookups (every candidate plan of a query asks for the same
+/// subsets) never rebuild the canonical string key; the string is only
+/// materialized per miss, and only while overrides exist.
+///
+/// The DP planner asks for every connected subset of a plan in one
+/// CardinalityBatch() call: the key-hash parts of the query (KeyHashParts)
+/// are computed once, memo hits are answered, and the misses reach the
+/// estimator as one EstimateSubqueryBatch() call, in the order the scalar
+/// Cardinality() calls would have made them. Greedy and leading-hint
+/// planning ask one subset at a time through Cardinality().
 ///
 /// A provider is single-threaded: the learned optimizers in src/e2e build
 /// one per query and plan all of that query's candidates against it in
@@ -83,8 +95,15 @@ class CardinalityProvider {
   /// Final (possibly overridden/scaled) estimate for the sub-query.
   double Cardinality(const Subquery& subquery);
 
+  /// (*out)[i] = Cardinality(Subquery{&query, sets[i]}) for every i, bit
+  /// for bit, with the same memo hits and misses and the same estimator
+  /// call order, but one EstimateSubqueryBatch() call for all the misses.
+  void CardinalityBatch(const Query& query, const std::vector<TableSet>& sets,
+                        std::vector<double>* out);
+
   /// Memo-cache counters since construction (not reset by ClearOverrides);
-  /// hits + misses == number of Cardinality() calls.
+  /// hits + misses == number of sub-queries asked for through Cardinality()
+  /// and CardinalityBatch().
   CardinalityCacheStats Stats() const { return {hits_, misses_}; }
 
   CardinalityEstimatorInterface* estimator() const { return estimator_; }
@@ -94,6 +113,13 @@ class CardinalityProvider {
   double Raw(const Subquery& subquery);
   /// Cache-miss path: override table, then base/estimator, then scaling.
   double Compute(const Subquery& subquery);
+  /// Batch forms of Raw() and Compute(): element i as for sets[i].
+  void RawBatch(const Query& query, const std::vector<TableSet>& sets,
+                std::vector<double>* out);
+  void ComputeBatch(const Query& query, const std::vector<TableSet>& sets,
+                    std::vector<double>* out);
+  /// The scaling knob applied to a raw estimate of `tables`.
+  double Scaled(TableSet tables, double value) const;
 
   CardinalityEstimatorInterface* estimator_ = nullptr;
   /// Non-null for scaled views; raw estimates delegate to the base.

@@ -135,11 +135,10 @@ class DpccpPlanner {
     TableSet all = query_.AllTables();
     memo_.resize(csgs_.size());
     BuildIndex();
+    EstimateCsgs(cards);
 
     for (int t = 0; t < n; ++t) {
-      TableSet set = TableBit(t);
-      MemoEntry& leaf = memo_[IndexOf(set)];
-      leaf.card = cards->Cardinality(Subquery{&query_, set});
+      MemoEntry& leaf = memo_[IndexOf(TableBit(t))];
       const std::string& name =
           query_.tables()[static_cast<size_t>(t)].table_name;
       leaf.cost =
@@ -153,7 +152,6 @@ class DpccpPlanner {
     for (size_t i = 0; i < csgs_.size(); ++i) {
       TableSet s = csgs_[i];
       if (PopCount(s) < 2) continue;
-      memo_[i].card = cards->Cardinality(Subquery{&query_, s});
       if (bushy_) {
         // Each unordered split once, from the side holding the lowest
         // table; both orientations are costed.
@@ -207,6 +205,28 @@ class DpccpPlanner {
     JoinAlgorithm algorithm = JoinAlgorithm::kHashJoin;
     bool planned = false;
   };
+
+  // Fills every memo entry's cardinality from one provider batch: the
+  // leaves in table order, then the larger csgs in ascending order, the
+  // order in which a DP asking subset by subset would reach them.
+  void EstimateCsgs(CardinalityProvider* cards) {
+    std::vector<size_t> order;
+    order.reserve(csgs_.size());
+    for (int t = 0; t < query_.num_tables(); ++t) {
+      order.push_back(IndexOf(TableBit(t)));
+    }
+    for (size_t i = 0; i < csgs_.size(); ++i) {
+      if (PopCount(csgs_[i]) >= 2) order.push_back(i);
+    }
+    std::vector<TableSet> sets;
+    sets.reserve(order.size());
+    for (size_t i : order) sets.push_back(csgs_[i]);
+    std::vector<double> estimates;
+    cards->CardinalityBatch(query_, sets, &estimates);
+    for (size_t k = 0; k < order.size(); ++k) {
+      memo_[order[k]].card = estimates[k];
+    }
+  }
 
   // Open-addressing table from csg to its index in csgs_, at most half
   // full, so a lookup is one multiply and a probe or two.

@@ -49,7 +49,8 @@ struct OptimizerOptions {
 /// forbidden) and a GOO-style greedy fallback, with hint and
 /// cardinality-injection knobs.
 ///
-/// The DP estimates every connected subset once, leaves first, then in
+/// The DP estimates every connected subset once, in one
+/// CardinalityProvider::CardinalityBatch() call: leaves first, then in
 /// ascending subset order. Among equally cheap plans for a subset it keeps
 /// the one with the larger left-input bitmask, then the earlier algorithm
 /// in HintSet::AllowedAlgorithms() order, so plans are a pure function of

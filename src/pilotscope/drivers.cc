@@ -34,20 +34,8 @@ Status CardinalityDriver::Init(DbInteractor* interactor) {
 }
 
 StatusOr<ExecutionResult> CardinalityDriver::Algo(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  // Batch-inject the learned estimates for all optimizer sub-queries.
-  auto subqueries = interactor_->PullSubqueries(query);
-  if (!subqueries.ok()) return subqueries.status();
-  LQO_RETURN_IF_ERROR(interactor_->ClearPushes());
-  for (const Subquery& subquery : *subqueries) {
-    LQO_RETURN_IF_ERROR(interactor_->PushCardinalityOverride(
-        subquery.Key(), estimator_->EstimateSubquery(subquery)));
-  }
-  auto plan = interactor_->PullPlan(query);
+  auto plan = PlanQuery(query);
   if (!plan.ok()) return plan.status();
-  LQO_RETURN_IF_ERROR(interactor_->ClearPushes());
   return interactor_->PullExecution(*plan);
 }
 
@@ -55,12 +43,16 @@ StatusOr<PhysicalPlan> CardinalityDriver::PlanQuery(const Query& query) {
   if (interactor_ == nullptr) {
     return Status::FailedPrecondition("driver not initialized");
   }
+  // Batch-inject the learned estimates for all optimizer sub-queries, from
+  // one estimator batch (a learned estimator runs one model pass).
   auto subqueries = interactor_->PullSubqueries(query);
   if (!subqueries.ok()) return subqueries.status();
   LQO_RETURN_IF_ERROR(interactor_->ClearPushes());
-  for (const Subquery& subquery : *subqueries) {
+  std::vector<double> estimates =
+      estimator_->EstimateSubqueryBatch(*subqueries);
+  for (size_t i = 0; i < subqueries->size(); ++i) {
     LQO_RETURN_IF_ERROR(interactor_->PushCardinalityOverride(
-        subquery.Key(), estimator_->EstimateSubquery(subquery)));
+        (*subqueries)[i].Key(), estimates[i]));
   }
   auto plan = interactor_->PullPlan(query);
   if (!plan.ok()) return plan.status();

@@ -287,44 +287,78 @@ uint64_t HashPredicate(const Predicate& p) {
   return h;
 }
 
+// Mirrors Key(): where Key() sorts serialized parts, the hash sums per-part
+// hashes (commutative, so order-independent without sorting or allocating).
+uint64_t TablePart(const Query& query, int table_index) {
+  const std::string& name =
+      query.tables()[static_cast<size_t>(table_index)].table_name;
+  uint64_t preds_hash = 0;
+  for (const Predicate& p : query.predicates()) {
+    if (p.table_index == table_index) preds_hash += MixHash(HashPredicate(p));
+  }
+  uint64_t part = HashBytes(name, 0xcbf29ce484222325ull);
+  return MixHash(part ^ MixHash(preds_hash + 0x517cc1b7u));
+}
+
+uint64_t JoinPart(const Query& query, const QueryJoin& j) {
+  uint64_t a = HashBytes(
+      j.left_column,
+      HashBytes(query.tables()[static_cast<size_t>(j.left_table)].table_name,
+                0xcbf29ce484222325ull) ^
+          0x2eu);
+  uint64_t b = HashBytes(
+      j.right_column,
+      HashBytes(query.tables()[static_cast<size_t>(j.right_table)].table_name,
+                0xcbf29ce484222325ull) ^
+          0x2eu);
+  // Endpoint-symmetric, like the sorted "a=b" rendering in Key().
+  return MixHash((a ^ b) + MixHash(a + b));
+}
+
+uint64_t CombineParts(uint64_t tables_hash, uint64_t joins_hash) {
+  return MixHash(tables_hash ^ MixHash(joins_hash + 0x85ebca6bu));
+}
+
 }  // namespace
 
 uint64_t Subquery::KeyHash() const {
   LQO_CHECK(query != nullptr);
-  // Mirrors Key(): where Key() sorts serialized parts, the hash combines
-  // per-part hashes commutatively (addition), which is order-independent
-  // without ever sorting or allocating.
   uint64_t tables_hash = 0;
-  for (int t = 0; t < query->num_tables(); ++t) {
-    if (!ContainsTable(tables, t)) continue;
-    const std::string& name =
-        query->tables()[static_cast<size_t>(t)].table_name;
-    uint64_t preds_hash = 0;
-    for (const Predicate& p : query->predicates()) {
-      if (p.table_index == t) preds_hash += MixHash(HashPredicate(p));
-    }
-    uint64_t part = HashBytes(name, 0xcbf29ce484222325ull);
-    tables_hash += MixHash(part ^ MixHash(preds_hash + 0x517cc1b7u));
+  for (TableSet rest = tables; rest != 0; rest &= rest - 1) {
+    tables_hash += TablePart(*query, __builtin_ctzll(rest));
   }
-
   uint64_t joins_hash = 0;
   for (const QueryJoin& j : query->joins()) {
-    if (!j.WithinSet(tables)) continue;
-    uint64_t a = HashBytes(
-        j.left_column,
-        HashBytes(query->tables()[static_cast<size_t>(j.left_table)].table_name,
-                  0xcbf29ce484222325ull) ^
-            0x2eu);
-    uint64_t b = HashBytes(
-        j.right_column,
-        HashBytes(
-            query->tables()[static_cast<size_t>(j.right_table)].table_name,
-            0xcbf29ce484222325ull) ^
-            0x2eu);
-    // Endpoint-symmetric, like the sorted "a=b" rendering in Key().
-    joins_hash += MixHash((a ^ b) + MixHash(a + b));
+    if (j.WithinSet(tables)) joins_hash += JoinPart(*query, j);
   }
-  return MixHash(tables_hash ^ MixHash(joins_hash + 0x85ebca6bu));
+  return CombineParts(tables_hash, joins_hash);
+}
+
+KeyHashParts::KeyHashParts(const Query& query) {
+  table_parts_.reserve(static_cast<size_t>(query.num_tables()));
+  for (int t = 0; t < query.num_tables(); ++t) {
+    table_parts_.push_back(TablePart(query, t));
+  }
+  join_parts_.reserve(query.joins().size());
+  join_masks_.reserve(query.joins().size());
+  for (const QueryJoin& j : query.joins()) {
+    join_parts_.push_back(JoinPart(query, j));
+    join_masks_.push_back(TableBit(j.left_table) | TableBit(j.right_table));
+  }
+}
+
+uint64_t KeyHashParts::Of(TableSet tables) const {
+  uint64_t tables_hash = 0;
+  for (TableSet rest = tables; rest != 0; rest &= rest - 1) {
+    tables_hash += table_parts_[static_cast<size_t>(__builtin_ctzll(rest))];
+  }
+  uint64_t joins_hash = 0;
+  for (size_t j = 0; j < join_masks_.size(); ++j) {
+    if ((join_masks_[j] & tables) == join_masks_[j]) {
+      joins_hash += join_parts_[j];
+    }
+  }
+  return CombineParts(tables_hash, joins_hash);
 }
 
 }  // namespace lqo

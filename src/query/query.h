@@ -168,6 +168,26 @@ struct Subquery {
   uint64_t KeyHash() const;
 };
 
+/// Subquery::KeyHash() for many subsets of one query. The hash is a
+/// commutative sum of one part per table and one part per induced join;
+/// this computes every part once, so a subset's hash costs one add per
+/// table and per join instead of re-hashing names and predicates. Of(set)
+/// equals Subquery{&query, set}.KeyHash() bit for bit (both use the same
+/// part functions).
+class KeyHashParts {
+ public:
+  explicit KeyHashParts(const Query& query);
+
+  uint64_t Of(TableSet tables) const;
+
+ private:
+  std::vector<uint64_t> table_parts_;
+  std::vector<uint64_t> join_parts_;
+  /// Endpoint bits of each join: the join is induced by `set` iff both are
+  /// in it.
+  std::vector<TableSet> join_masks_;
+};
+
 }  // namespace lqo
 
 #endif  // LQO_QUERY_QUERY_H_

@@ -1,8 +1,13 @@
 // Property test: Optimizer::Optimize (DPccp) against the submask DP oracle
 // in submask_dp_oracle.h, over chain, star and cyclic join graphs, bushy and
 // left-deep, under every Bao hint arm. Plans must agree bit for bit, and the
-// estimator must see the same subsets in the same order.
+// estimator must see the same subsets in the same order. The batch
+// cardinality paths the DP uses (CardinalityProvider::CardinalityBatch, the
+// baseline's EstimateSubqueryBatch, KeyHashParts) are checked against their
+// scalar definitions over the same join graphs.
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +25,9 @@
 namespace lqo {
 namespace {
 
-// Delegates to `inner` and records the subset of every call, in order.
+// Delegates to `inner` and records the subset of every call, in order: a
+// batch records its sub-queries in batch order and forwards to the inner
+// batch.
 class RecordingEstimator : public CardinalityEstimatorInterface {
  public:
   explicit RecordingEstimator(CardinalityEstimatorInterface* inner)
@@ -28,6 +35,13 @@ class RecordingEstimator : public CardinalityEstimatorInterface {
   double EstimateSubquery(const Subquery& subquery) override {
     calls_.push_back(subquery.tables);
     return inner_->EstimateSubquery(subquery);
+  }
+  std::vector<double> EstimateSubqueryBatch(
+      const std::vector<Subquery>& subqueries) override {
+    for (const Subquery& subquery : subqueries) {
+      calls_.push_back(subquery.tables);
+    }
+    return inner_->EstimateSubqueryBatch(subqueries);
   }
   std::string Name() const override { return "recording"; }
   const std::vector<TableSet>& calls() const { return calls_; }
@@ -265,6 +279,165 @@ TEST(DpOracleTest, FortyWayChainFromSqlPlans) {
   for (uint64_t k = 2; k <= 40; ++k) expected += (41 - k) * (k - 1) * 2 * 3;
   EXPECT_EQ(planned.combinations_evaluated, expected);
   EXPECT_EQ(cards.Stats().hits + cards.Stats().misses, 40u * 41u / 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Batch cardinality paths against their scalar definitions.
+
+// The query shapes the batch paths are checked on: 12-way chains, 7-way
+// stars, and cyclic stats_lite / imdb_lite join graphs, with equality, IN
+// and range predicates. Each entry keeps its lab alive for its queries.
+struct BatchCase {
+  std::unique_ptr<Lab> lab;
+  std::vector<Query> queries;
+};
+
+std::vector<BatchCase> BatchCases() {
+  std::vector<BatchCase> cases;
+  {
+    BatchCase chain{MakeLabFromCatalog(MakeChainSchema(12, 200, 42)), {}};
+    chain.queries = ChainTemplates(*chain.lab, 4).queries;
+    cases.push_back(std::move(chain));
+  }
+  {
+    BatchCase star{MakeLabFromCatalog(MakeStarSchema(7, 400)), {}};
+    WorkloadOptions options;
+    options.num_queries = 4;
+    options.min_tables = 7;
+    options.max_tables = 7;
+    options.seed = 13;
+    star.queries = GenerateWorkload(star.lab->catalog, options).queries;
+    cases.push_back(std::move(star));
+  }
+  for (const char* dataset : {"stats_lite", "imdb_lite"}) {
+    BatchCase lite{MakeLab(dataset, 0.03), {}};
+    WorkloadOptions options;
+    options.num_queries = 12;
+    options.min_tables = 3;
+    options.max_tables = 6;
+    options.extra_edge_prob = 0.9;
+    options.seed = 19;
+    lite.queries = GenerateWorkload(lite.lab->catalog, options).queries;
+    cases.push_back(std::move(lite));
+  }
+  return cases;
+}
+
+std::vector<Subquery> AllConnected(const Query& query) {
+  std::vector<Subquery> subqueries;
+  for (TableSet set : ConnectedSubsets(query)) {
+    subqueries.push_back(Subquery{&query, set});
+  }
+  return subqueries;
+}
+
+TEST(BatchCardinalityTest, BaselineBatchMatchesScalarBitForBit) {
+  bool kinds[3] = {false, false, false};
+  for (const BatchCase& c : BatchCases()) {
+    CardinalityEstimatorInterface* baseline = c.lab->estimator.get();
+    for (const Query& query : c.queries) {
+      SCOPED_TRACE(query.ToString());
+      for (const Predicate& p : query.predicates()) {
+        kinds[static_cast<int>(p.kind)] = true;
+      }
+      std::vector<Subquery> subqueries = AllConnected(query);
+      std::vector<double> batch = baseline->EstimateSubqueryBatch(subqueries);
+      ASSERT_EQ(batch.size(), subqueries.size());
+      KeyHashParts hashes(query);
+      for (size_t i = 0; i < subqueries.size(); ++i) {
+        EXPECT_EQ(batch[i], baseline->EstimateSubquery(subqueries[i]));
+        EXPECT_EQ(hashes.Of(subqueries[i].tables), subqueries[i].KeyHash());
+      }
+    }
+    // One batch that alternates between two queries' subsets.
+    std::vector<Subquery> a = AllConnected(c.queries[0]);
+    std::vector<Subquery> b = AllConnected(c.queries[1]);
+    std::vector<Subquery> mixed;
+    for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i < a.size()) mixed.push_back(a[i]);
+      if (i < b.size()) mixed.push_back(b[i]);
+    }
+    std::vector<double> batch = baseline->EstimateSubqueryBatch(mixed);
+    ASSERT_EQ(batch.size(), mixed.size());
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      EXPECT_EQ(batch[i], baseline->EstimateSubquery(mixed[i]));
+    }
+  }
+  EXPECT_TRUE(kinds[static_cast<int>(PredicateKind::kEquals)]);
+  EXPECT_TRUE(kinds[static_cast<int>(PredicateKind::kIn)]);
+  EXPECT_TRUE(kinds[static_cast<int>(PredicateKind::kRange)]);
+}
+
+// A provider set up by `setup`, asked for `sets` through one batch, must
+// answer exactly as a twin asked subset by subset: the same values, memo
+// counters and estimator call sequence, on the provider and on its base.
+void ExpectBatchMatchesScalar(
+    CardinalityEstimatorInterface* base, const Query& query,
+    const std::vector<TableSet>& sets,
+    const std::function<void(CardinalityProvider*)>& setup,
+    double scale_factor = 1.0, int scale_min_tables = 0) {
+  RecordingEstimator got_recorder(base);
+  RecordingEstimator want_recorder(base);
+  CardinalityProvider got_base(&got_recorder);
+  CardinalityProvider want_base(&want_recorder);
+  CardinalityProvider got_view(&got_base, scale_factor, scale_min_tables);
+  CardinalityProvider want_view(&want_base, scale_factor, scale_min_tables);
+  bool view = scale_min_tables > 0;
+  CardinalityProvider* got = view ? &got_view : &got_base;
+  CardinalityProvider* want = view ? &want_view : &want_base;
+  setup(got);
+  setup(want);
+
+  std::vector<double> batch;
+  got->CardinalityBatch(query, sets, &batch);
+  ASSERT_EQ(batch.size(), sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(batch[i], want->Cardinality(Subquery{&query, sets[i]}))
+        << "subset " << sets[i];
+  }
+  EXPECT_EQ(got->Stats().hits, want->Stats().hits);
+  EXPECT_EQ(got->Stats().misses, want->Stats().misses);
+  EXPECT_EQ(got_base.Stats().hits, want_base.Stats().hits);
+  EXPECT_EQ(got_base.Stats().misses, want_base.Stats().misses);
+  EXPECT_EQ(got_recorder.calls(), want_recorder.calls());
+}
+
+TEST(BatchCardinalityTest, ProviderBatchMatchesScalarCardinality) {
+  for (const BatchCase& c : BatchCases()) {
+    CardinalityEstimatorInterface* baseline = c.lab->estimator.get();
+    const Query& query = c.queries[0];
+    SCOPED_TRACE(query.ToString());
+    std::vector<TableSet> sets = ConnectedSubsets(query);
+    auto none = [](CardinalityProvider*) {};
+
+    // Plain, and with every subset asked for twice in one batch.
+    ExpectBatchMatchesScalar(baseline, query, sets, none);
+    std::vector<TableSet> twice = sets;
+    twice.insert(twice.end(), sets.begin(), sets.end());
+    ExpectBatchMatchesScalar(baseline, query, twice, none);
+
+    // Overrides on every third subset (the rest still reach the estimator).
+    auto overrides = [&](CardinalityProvider* cards) {
+      for (size_t i = 0; i < sets.size(); i += 3) {
+        cards->InjectOverride(Subquery{&query, sets[i]}.Key(),
+                              0.5 + static_cast<double>(i));
+      }
+    };
+    ExpectBatchMatchesScalar(baseline, query, sets, overrides);
+
+    // A Lero-style scaled view, with and without overrides on the view.
+    ExpectBatchMatchesScalar(baseline, query, sets, none, 3.5, 3);
+    ExpectBatchMatchesScalar(baseline, query, sets, overrides, 0.25, 2);
+
+    // A warm memo: every other subset asked for first, one at a time.
+    auto warm = [&](CardinalityProvider* cards) {
+      for (size_t i = 0; i < sets.size(); i += 2) {
+        cards->Cardinality(Subquery{&query, sets[i]});
+      }
+    };
+    ExpectBatchMatchesScalar(baseline, query, sets, warm);
+    ExpectBatchMatchesScalar(baseline, query, sets, warm, 2.0, 2);
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "benchlib/lab.h"
 #include "cardinality/bayes_net_model.h"
 #include "cardinality/evaluation.h"
+#include "cardinality/hybrid.h"
 #include "cardinality/query_driven.h"
 #include "cardinality/spn_model.h"
 #include "cardinality/training_data.h"
@@ -298,6 +299,54 @@ TEST_F(ThreadPoolTest, CardinalityProviderCountsHitsAndMisses) {
   EXPECT_GT(dp_cards.Stats().misses, 0u);
 }
 
+// Every node's estimated cardinality, in pre-order.
+void AppendEstimates(const PlanNode& node, std::vector<double>* out) {
+  out->push_back(node.estimated_cardinality);
+  if (node.kind == PlanNode::Kind::kJoin) {
+    AppendEstimates(*node.left, out);
+    AppendEstimates(*node.right, out);
+  }
+}
+
+// The DP planner resolves every connected subset through the estimator's
+// batch path, and concurrent sessions share one estimator: two planners
+// running at once over one trained learned estimator of each batch-
+// overriding kind must plan exactly as they do one after the other.
+TEST_F(ThreadPoolTest, LearnedBatchEstimatorsAreReentrantAcrossPlanners) {
+  SiteFixture f;
+  CeTrainingData training = BuildCeTrainingData(
+      f.lab->catalog, f.lab->stats, f.workload, f.lab->truth.get());
+  QueryDrivenEstimator forest(QueryDrivenEstimator::ModelType::kForest,
+                              &f.lab->catalog, &f.lab->stats);
+  forest.Train(training);
+  UaeEstimator uae(&f.lab->catalog, &f.lab->stats);
+  uae.Train(training);
+
+  ThreadPool::SetGlobalThreads(4);
+  for (CardinalityEstimatorInterface* estimator :
+       std::vector<CardinalityEstimatorInterface*>{&forest, &uae}) {
+    SCOPED_TRACE(estimator->Name());
+    auto plan = [&](size_t i) {
+      CardinalityProvider cards(estimator);
+      PlannerResult planned =
+          f.lab->optimizer->Optimize(f.workload.queries[i], &cards);
+      std::vector<double> estimates;
+      AppendEstimates(*planned.plan.root, &estimates);
+      return std::make_tuple(planned.plan.Signature(), planned.estimated_cost,
+                             estimates);
+    };
+    std::vector<decltype(plan(0))> serial;
+    for (size_t i = 0; i < f.workload.queries.size(); ++i) {
+      serial.push_back(plan(i));
+    }
+    ThreadPool planners(2);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(ParallelMap(f.workload.queries.size(), plan, &planners),
+                serial);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PR 2 sites: partitioned join, model training, batched candidate costing.
 // Each must be bit-for-bit identical at LQO_THREADS = 1, 2 and 8.
@@ -434,13 +483,28 @@ TEST_F(ThreadPoolTest, BatchedCandidateScoringIsThreadCountInvariant) {
 TEST_F(ThreadPoolTest, EstimateSubqueryBatchIsThreadCountInvariant) {
   SiteFixture f;
   // Batch estimation over every query's full-table subquery, through the
-  // default ParallelMap path of the base estimator.
+  // baseline's serial batch and through the default ParallelMap path of an
+  // estimator that only defines the scalar call.
+  class ScalarOnly : public CardinalityEstimatorInterface {
+   public:
+    explicit ScalarOnly(CardinalityEstimatorInterface* inner)
+        : inner_(inner) {}
+    double EstimateSubquery(const Subquery& subquery) override {
+      return inner_->EstimateSubquery(subquery);
+    }
+    std::string Name() const override { return "scalar_only"; }
+
+   private:
+    CardinalityEstimatorInterface* inner_;
+  } scalar_only(f.lab->estimator.get());
   std::vector<Subquery> subqueries;
   for (const Query& q : f.workload.queries) {
     subqueries.push_back(Subquery{&q, q.AllTables()});
   }
-  ExpectThreadCountInvariant(
-      [&] { return f.lab->estimator->EstimateSubqueryBatch(subqueries); });
+  ExpectThreadCountInvariant([&] {
+    return std::make_pair(f.lab->estimator->EstimateSubqueryBatch(subqueries),
+                          scalar_only.EstimateSubqueryBatch(subqueries));
+  });
 }
 
 // ---------------------------------------------------------------------------
