@@ -61,7 +61,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
 # The scaling bench sweeps every parallel site at 1/2/4/N threads under
 # TSan and exits nonzero if any site diverges from its serial result (the
-# throughput floors are compiled out under sanitizers).
+# benchlib harness disarms its plain-build-only throughput gates under
+# sanitizers; every other gate stays armed).
 "$BUILD_DIR"/bench/bench_parallel_scaling
 
 # Executor and SIMD-dispatch gates, under TSan + 4 threads: selection-vector
@@ -78,12 +79,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # the scalar reference table on odd batch sizes.
 "$BUILD_DIR"/bench/bench_micro_components \
   --benchmark_filter='Kernel' --benchmark_min_time=0.05
-# SIMD determinism fingerprint. The site pins each supported level itself
-# (scalar, plus avx2 where the CPU has it) x 1/2/4/N threads over its scan,
-# hash, merge, NLJ and 3-way chain plans and exits nonzero on any bit
-# divergence (the >=1.3x filter-kernel floor is compiled out under
-# sanitizers).
-"$BUILD_DIR"/bench/bench_parallel_scaling --simd-only
+# SIMD determinism fingerprint, run alone as the simd_kernels site. The site
+# pins each supported level itself (scalar, plus avx2 where the CPU has it)
+# x 1/2/4/N threads over its scan, hash, merge, NLJ and 3-way chain plans
+# and exits nonzero on any bit divergence (the >=1.3x filter-kernel floor
+# is a plain-build-only gate, disarmed under sanitizers).
+"$BUILD_DIR"/bench/bench_parallel_scaling --site simd_kernels
 
 # Late-materialization output pipeline gates, under TSan + 4 threads:
 # aggregate-kernel bit-equality at boundary batch sizes, then the
@@ -91,10 +92,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # projection tests — outputs equal the naive evaluator's and stay
 # bit-identical at every SIMD level x 1/2/8 threads — then the
 # agg_projection determinism fingerprint (the site pins every supported
-# level itself x 1/2/4/N threads, folding every output value).
+# level itself x 1/2/4/N threads, folding every output value; run alone as
+# the agg_projection site).
 "$BUILD_DIR"/tests/engine_test \
   --gtest_filter='Aggregate*:Projection*:GroupIndex*'
-"$BUILD_DIR"/bench/bench_parallel_scaling --agg-only
+"$BUILD_DIR"/bench/bench_parallel_scaling --site agg_projection
 
 # Batched-inference gates, still under TSan + 4 threads: the bit-identity
 # and thread-invariance tests, then the inference microbenchmarks (whose
@@ -113,9 +115,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # Serving front end determinism site, under TSan: replays concurrent
 # sessions (drift + parameter-sensitive scenarios included) through the
 # shared plan cache at LQO_THREADS 1/2/8 and exits nonzero unless the
-# fingerprints are bit-identical (the full run's cache-quality and
-# throughput gates are not run here).
-"$BUILD_DIR"/bench/bench_serving --determinism-only
+# fingerprints are bit-identical (the families site, with the cache-quality
+# and throughput gates, is not run here).
+"$BUILD_DIR"/bench/bench_serving --site determinism
 echo "check.sh: stage 2 (TSan suite) passed with LQO_THREADS=4"
 
 # --- Stage 3: UndefinedBehaviorSanitizer suite -----------------------------

@@ -1,5 +1,7 @@
 #include "pilotscope/interactor.h"
 
+#include <string>
+
 #include "cardinality/training_data.h"
 #include "common/logging.h"
 
@@ -54,6 +56,25 @@ StatusOr<PhysicalPlan> EngineInteractor::PullPlan(const Query& query) {
   CountPull();
   if (!query.IsConnected(query.AllTables())) {
     return Status::InvalidArgument("query join graph not connected");
+  }
+  // A pushed LEADING prefix names tables by index: each must exist, appear
+  // once, and join the tables before it.
+  TableSet prefix = 0;
+  for (int table : session_hints_.leading) {
+    if (table < 0 || table >= query.num_tables()) {
+      return Status::InvalidArgument("leading hint table " +
+                                     std::to_string(table) + " out of range");
+    }
+    if (ContainsTable(prefix, table)) {
+      return Status::InvalidArgument("leading hint repeats table " +
+                                     std::to_string(table));
+    }
+    prefix |= TableBit(table);
+    if (!query.IsConnected(prefix)) {
+      return Status::InvalidArgument("leading hint table " +
+                                     std::to_string(table) +
+                                     " does not join the prefix before it");
+    }
   }
   return optimizer_->Optimize(query, &session_cards_, session_hints_).plan;
 }

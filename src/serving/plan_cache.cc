@@ -24,14 +24,6 @@ PlanCacheStats PlanCacheStats::operator-(const PlanCacheStats& other) const {
   return d;
 }
 
-PlanCache::PlanCache(PlanCacheOptions options)
-    : options_(options), shards_(new Shard[options.shards]) {
-  LQO_CHECK_GT(options_.shards, 0u);
-  LQO_CHECK_EQ(options_.shards & (options_.shards - 1), 0u)
-      << "PlanCache shard count must be a power of two";
-  LQO_CHECK_GT(options_.drift_window, 0);
-}
-
 PlanCacheLookup PlanCache::Lookup(uint64_t type) const {
   Shard& shard = ShardOf(type);
   PlanCacheLookup result;
@@ -117,19 +109,19 @@ PlanObserveOutcome PlanCache::Observe(uint64_t type, uint32_t generation,
   }
   state.window_count += 1;
   state.window_time_sum += time_units;
-  state.window_high_qerror += qerror > options_.qerror_threshold ? 1 : 0;
+  state.window_high_qerror += qerror > kQerrorThreshold ? 1 : 0;
   state.obs_count += 1;
   state.time_sum += time_units;
   state.time_sq_sum += time_units * time_units;
 
-  if (state.window_count < options_.drift_window) {
+  if (state.window_count < kDriftWindow) {
     return PlanObserveOutcome::kKept;
   }
   return ApplyPolicyLocked(&state);
 }
 
 PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
-  const double window = static_cast<double>(options_.drift_window);
+  const double window = static_cast<double>(kDriftWindow);
   const double mean_time = state->window_time_sum / window;
   const int high_qerror = state->window_high_qerror;
   state->window_count = 0;
@@ -140,12 +132,12 @@ PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
   // executions swing wildly regardless of which plan is installed has no
   // single cacheable plan — demote it before it hurts tail latency again.
   if (state->obs_count >=
-      static_cast<uint64_t>(options_.sensitivity_min_observations)) {
+      static_cast<uint64_t>(kSensitivityMinObservations)) {
     const double n = static_cast<double>(state->obs_count);
     const double mean = state->time_sum / n;
     const double var = state->time_sq_sum / n - mean * mean;
     const double cv = mean > 0.0 ? std::sqrt(var > 0.0 ? var : 0.0) / mean : 0.0;
-    if (cv > options_.sensitivity_cv) {
+    if (cv > kSensitivityCv) {
       state->always_optimize = true;
       state->root.reset();
       state->generation += 1;
@@ -157,13 +149,13 @@ PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
   // Majority vote: the plan is drifted only when most of the window's
   // bindings miss the install-time estimate, not when one outlier does.
   const bool qerror_drift = state->install_estimated_rows > 0.0 &&
-                            2 * high_qerror >= options_.drift_window;
+                            2 * high_qerror >= kDriftWindow;
   bool latency_drift = false;
   if (state->baseline_time < 0.0) {
     // First completed window of this plan becomes its latency baseline.
     state->baseline_time = mean_time;
   } else if (state->baseline_time > 0.0) {
-    latency_drift = mean_time > options_.latency_drift_ratio * state->baseline_time;
+    latency_drift = mean_time > kLatencyDriftRatio * state->baseline_time;
   }
   if (!qerror_drift && !latency_drift) {
     return PlanObserveOutcome::kKept;
@@ -175,7 +167,7 @@ PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
   state->baseline_time = -1.0;
   state->generation += 1;
   invalidations_.fetch_add(1, std::memory_order_relaxed);
-  if (state->reopt_count > options_.max_reoptimizations) {
+  if (state->reopt_count > kMaxReoptimizations) {
     // The type keeps invalidating whatever plan is installed: stop paying the
     // re-plan churn and pin it to always-optimize.
     state->always_optimize = true;
@@ -215,7 +207,7 @@ PlanCacheStats PlanCache::Stats() const {
   stats.demotions = demotions_.load(std::memory_order_relaxed);
   stats.observations = observations_.load(std::memory_order_relaxed);
   stats.stale_feedback = stale_feedback_.load(std::memory_order_relaxed);
-  for (size_t s = 0; s < options_.shards; ++s) {
+  for (size_t s = 0; s < kShards; ++s) {
     std::shared_lock<std::shared_mutex> lock(shards_[s].mutex);
     stats.entries += shards_[s].entries.size();
     // lint: unordered-iter-ok(commutative count of resident plans)

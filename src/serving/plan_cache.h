@@ -14,35 +14,6 @@
 
 namespace lqo {
 
-/// Knobs of the learned invalidation policy (see DESIGN.md "Serving path").
-struct PlanCacheOptions {
-  /// Shard count (power of two). Lookups take one shard's shared lock, so
-  /// unrelated types never contend.
-  size_t shards = 16;
-  /// Observations folded per drift check. Smaller reacts faster; larger is
-  /// more robust to a single outlier binding.
-  int drift_window = 8;
-  /// Per-observation q-error (observed vs install-time estimated result
-  /// cardinality) above which an observation counts as drifted. A window
-  /// re-optimizes when the *majority* of its observations drift — a robust
-  /// vote, so the occasional outlier binding of a skewed column (routine
-  /// under Zipf data) cannot evict a plan that fits typical traffic.
-  double qerror_threshold = 16.0;
-  /// Re-optimize when the window-mean latency exceeds this multiple of the
-  /// plan's baseline (its first completed window).
-  double latency_drift_ratio = 3.0;
-  /// After this many re-optimizations the type is demoted to
-  /// always-optimize: the plan evidently cannot be amortized.
-  int max_reoptimizations = 3;
-  /// Parameter-sensitivity detection arms after this many lifetime
-  /// observations of a type (across generations).
-  int sensitivity_min_observations = 24;
-  /// Demote when the lifetime coefficient of variation of a type's latency
-  /// exceeds this: different parameter bindings want different plans, so
-  /// caching any single plan is a tail-latency hazard.
-  double sensitivity_cv = 2.0;
-};
-
 /// Counters since construction. Under the phased serving protocol (lookups
 /// against a quiescent cache, ordered installs/observes — see ServingFrontEnd)
 /// every field is bit-deterministic across thread counts; under free-form
@@ -113,14 +84,13 @@ enum class PlanObserveOutcome {
 /// feedback (a plan no longer resident) and is dropped.
 ///
 /// Learned invalidation: Observe folds (observed rows, latency) per type and
-/// every `drift_window` observations takes a majority vote of per-observation
+/// every kDriftWindow observations takes a majority vote of per-observation
 /// q-errors against the install-time estimate and compares the window mean
-/// latency against
-/// the plan's baseline window; either exceeding its threshold re-optimizes
-/// (kInvalidated). Types that re-optimize more than `max_reoptimizations`
-/// times, or whose lifetime latency CV exceeds `sensitivity_cv`
-/// (parameter-sensitive: no single plan fits all bindings), are demoted to
-/// always-optimize (kDemoted, sticky).
+/// latency against the plan's baseline window; either exceeding its
+/// threshold re-optimizes (kInvalidated). Types that re-optimize more than
+/// kMaxReoptimizations times, or whose lifetime latency CV exceeds
+/// kSensitivityCv (parameter-sensitive: no single plan fits all bindings),
+/// are demoted to always-optimize (kDemoted, sticky).
 ///
 /// Determinism: plans are pure functions of (producer, type, binding), so a
 /// lost install race installs a plan identical in role; stats and drift
@@ -130,7 +100,31 @@ enum class PlanObserveOutcome {
 /// "Serving path").
 class PlanCache {
  public:
-  explicit PlanCache(PlanCacheOptions options = {});
+  /// Shard count (power of two). Lookups take one shard's shared lock, so
+  /// unrelated types never contend.
+  static constexpr size_t kShards = 16;
+  /// Observations folded per drift check. Smaller reacts faster; larger is
+  /// more robust to a single outlier binding.
+  static constexpr int kDriftWindow = 8;
+  /// Per-observation q-error (observed vs install-time estimated result
+  /// cardinality) above which an observation counts as drifted. A window
+  /// re-optimizes when the *majority* of its observations drift — a robust
+  /// vote, so the occasional outlier binding of a skewed column (routine
+  /// under Zipf data) cannot evict a plan that fits typical traffic.
+  static constexpr double kQerrorThreshold = 16.0;
+  /// Re-optimize when the window-mean latency exceeds this multiple of the
+  /// plan's baseline (its first completed window).
+  static constexpr double kLatencyDriftRatio = 3.0;
+  /// After this many re-optimizations the type is demoted to
+  /// always-optimize: the plan evidently cannot be amortized.
+  static constexpr int kMaxReoptimizations = 3;
+  /// Parameter-sensitivity detection arms after this many lifetime
+  /// observations of a type (across generations).
+  static constexpr int kSensitivityMinObservations = 24;
+  /// Demote when the lifetime coefficient of variation of a type's latency
+  /// exceeds this: different parameter bindings want different plans, so
+  /// caching any single plan is a tail-latency hazard.
+  static constexpr double kSensitivityCv = 2.0;
 
   /// Classifies `type`'s cache state. Pure read (shared lock); never
   /// creates an entry.
@@ -160,8 +154,6 @@ class PlanCache {
 
   PlanCacheStats Stats() const;
 
-  const PlanCacheOptions& options() const { return options_; }
-
  private:
   struct TypeState {
     uint32_t generation = 0;
@@ -189,16 +181,17 @@ class PlanCache {
   };
 
   Shard& ShardOf(uint64_t type) const {
-    return shards_[static_cast<size_t>(type) & (options_.shards - 1)];
+    return shards_[static_cast<size_t>(type) & (kShards - 1)];
   }
 
   /// Applies the drift/sensitivity policy after a fold. Caller holds the
   /// shard lock exclusively.
   PlanObserveOutcome ApplyPolicyLocked(TypeState* state);
 
-  const PlanCacheOptions options_;
+  static_assert((kShards & (kShards - 1)) == 0 && kShards > 0,
+                "PlanCache shard count must be a power of two");
   /// Shards are constructed once and never resized; only entry maps mutate.
-  const std::unique_ptr<Shard[]> shards_;
+  const std::unique_ptr<Shard[]> shards_{new Shard[kShards]};
   // Lookup is logically const; its outcome counters are mutable.
   mutable std::atomic<uint64_t> hits_{0};    // relaxed: monotonic stat only
   mutable std::atomic<uint64_t> misses_{0};  // relaxed: monotonic stat only

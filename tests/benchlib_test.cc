@@ -1,9 +1,17 @@
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "benchlib/bench_site.h"
 #include "benchlib/e2e_harness.h"
 #include "benchlib/lab.h"
+#include "common/thread_pool.h"
 
 namespace lqo {
 namespace {
@@ -88,6 +96,107 @@ TEST_F(BenchlibTest, EvaluationBookkeepingConsistent) {
   EXPECT_EQ(result.wins, 0);
   EXPECT_EQ(result.losses, 0);
   EXPECT_DOUBLE_EQ(result.worst_regression_ratio, 1.0);
+}
+
+// A per-process temp path, so concurrent suites never share a file.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
+
+// A full (unfiltered) run of a bench binary named "bench".
+BenchHarness FullRun() {
+  static char arg0[] = "bench";
+  static char* argv[] = {arg0, nullptr};
+  return BenchHarness(1, argv);
+}
+
+TEST(BenchHarnessTest, ThreadDependentFingerprintFailsTheRun) {
+  BenchHarness h = FullRun();
+  h.Sweep("stable", {1, 2}, [] { return 7.0; });
+  EXPECT_TRUE(h.deterministic());
+  h.Sweep("racy", {1, 2},
+          [] { return ThreadPool::Global().num_threads(); });
+  EXPECT_FALSE(h.deterministic());
+  const std::string sweeps = h.SweepsJson().Render();
+  EXPECT_NE(sweeps.find("\"name\": \"stable\", \"deterministic\": true"),
+            std::string::npos)
+      << sweeps;
+  EXPECT_NE(sweeps.find("\"name\": \"racy\", \"deterministic\": false"),
+            std::string::npos)
+      << sweeps;
+  EXPECT_EQ(h.Finish(), 1);
+}
+
+TEST(BenchHarnessTest, PlainBuildGateIsNotEvaluatedInSanitizedBuilds) {
+  BenchHarness h = FullRun();
+  bool plain_evaluated = false;
+  h.Gate(GateArming::kPlainBuildsOnly,
+         [&] {
+           plain_evaluated = true;
+           return false;
+         },
+         "plain-only bound");
+  EXPECT_EQ(plain_evaluated, !SanitizedBuild());
+  EXPECT_EQ(h.Finish(), SanitizedBuild() ? 0 : 1);
+
+  // Always-armed gates are evaluated in every build.
+  BenchHarness always = FullRun();
+  bool evaluated = false;
+  always.Gate(GateArming::kAlways,
+              [&] {
+                evaluated = true;
+                return false;
+              },
+              "quality bound %d", 1);
+  EXPECT_TRUE(evaluated);
+  EXPECT_EQ(always.Finish(), 1);
+}
+
+TEST(BenchHarnessTest, LedgerCarriesHostBlockAndDeclaredKeys) {
+  const std::string path = TempPath("bench_site_ledger.json");
+  std::remove(path.c_str());
+  BenchHarness h = FullRun();
+  h.Ledger(path).Set("rows", 3).Set(
+      "families",
+      Json::Array({Json::Object({{"name", "eq"}, {"rows_per_sec", 1.5}})}));
+  ASSERT_EQ(h.Finish(), 0);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string ledger = text.str();
+  EXPECT_EQ(ledger.rfind("{\n  \"host\": {\"nproc\": ", 0), 0u) << ledger;
+  for (const char* key : {"\"simd_level\": \"", "\"compiler\": \"",
+                          "\"build_type\": \"",
+                          "\n  \"rows\": 3,\n  \"families\": [\n    "
+                          "{\"name\": \"eq\", \"rows_per_sec\": 1.5}\n  ]\n}\n"}) {
+    EXPECT_NE(ledger.find(key), std::string::npos) << key << "\n" << ledger;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BenchHarnessTest, SiteFilterRunsOneSiteAndWritesNoLedger) {
+  const std::string path = TempPath("bench_site_filtered.json");
+  std::remove(path.c_str());
+  char arg0[] = "bench", flag[] = "--site", site[] = "b";
+  char* argv[] = {arg0, flag, site, nullptr};
+  BenchHarness h(3, argv);
+  EXPECT_FALSE(h.Runs("a"));
+  EXPECT_TRUE(h.Runs("b"));
+  int runs = 0;
+  h.Sweep("a", {1}, [&] { return ++runs; });
+  EXPECT_EQ(runs, 0);
+  h.Ledger(path).Set("rows", 1);
+  EXPECT_EQ(h.Finish(), 0);
+  EXPECT_FALSE(std::ifstream(path).good());
+
+  char unknown[] = "c";
+  argv[2] = unknown;
+  BenchHarness typo(3, argv);
+  typo.Runs("a");
+  EXPECT_EQ(typo.Finish(), 2);
+  char bad_flag[] = "--sites";
+  argv[1] = bad_flag;
+  EXPECT_EXIT(BenchHarness(3, argv), ::testing::ExitedWithCode(2), "usage");
 }
 
 }  // namespace

@@ -82,6 +82,40 @@ TEST_F(PilotScopeTest, InteractorValidatesInput) {
   EXPECT_FALSE(interactor_->PushCardinalityScale(-1.0, 2).ok());
 }
 
+TEST_F(PilotScopeTest, InteractorRejectsMalformedLeadingHints) {
+  // A workload query with two tables that share no join edge.
+  const Query* q = nullptr;
+  int a = -1, b = -1;
+  for (const Query& candidate : workload_.queries) {
+    for (int i = 0; i < candidate.num_tables() && q == nullptr; ++i) {
+      for (int j = 0; j < candidate.num_tables() && q == nullptr; ++j) {
+        if (i != j && !candidate.IsConnected(TableBit(i) | TableBit(j))) {
+          q = &candidate;
+          a = i;
+          b = j;
+        }
+      }
+    }
+  }
+  ASSERT_NE(q, nullptr);
+  auto pull_with = [&](std::vector<int> leading) {
+    HintSet hints;
+    hints.leading = std::move(leading);
+    EXPECT_TRUE(interactor_->PushHints(hints).ok());
+    return interactor_->PullPlan(*q).status().code();
+  };
+  // Out of range, either end.
+  EXPECT_EQ(pull_with({a, q->num_tables()}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pull_with({-1}), StatusCode::kInvalidArgument);
+  // Repeated table.
+  EXPECT_EQ(pull_with({a, a}), StatusCode::kInvalidArgument);
+  // Table not joined to the prefix before it.
+  EXPECT_EQ(pull_with({a, b}), StatusCode::kInvalidArgument);
+  // A prefix that walks join edges still plans.
+  EXPECT_EQ(pull_with({a, q->Neighbors(a)[0]}), StatusCode::kOk);
+  ASSERT_TRUE(interactor_->ClearPushes().ok());
+}
+
 TEST_F(PilotScopeTest, SubqueriesPulledMatchConnectedSubsets) {
   const Query& q = workload_.queries[0];
   auto subqueries = interactor_->PullSubqueries(q);

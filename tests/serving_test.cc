@@ -247,29 +247,28 @@ TEST_F(ServingTest, CacheMissInstallHitAndFirstWriterWins) {
 }
 
 TEST_F(ServingTest, MajorityQerrorDriftInvalidates) {
-  PlanCacheOptions options;
-  options.drift_window = 4;
-  PlanCache cache(options);
+  constexpr int kWindow = PlanCache::kDriftWindow;
+  PlanCache cache;
   const uint64_t type = 7;
   PhysicalPlan plan = PlanOf(templates_[0]);
   PlanCacheLookup miss = cache.Lookup(type);
   ASSERT_TRUE(cache.TryInstall(type, miss.generation, plan, 10.0));
 
-  // A minority outlier binding (1 of 4) must NOT evict the plan.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.Observe(type, miss.generation, 10.0, 1.0),
+  // A minority of outlier bindings (just under half the window) must NOT
+  // evict the plan.
+  for (int i = 0; i < kWindow; ++i) {
+    const double rows = i < (kWindow - 1) / 2 ? 5000.0 : 10.0;
+    EXPECT_EQ(cache.Observe(type, miss.generation, rows, 1.0),
               PlanObserveOutcome::kKept);
   }
-  EXPECT_EQ(cache.Observe(type, miss.generation, 5000.0, 1.0),
-            PlanObserveOutcome::kKept);
 
   // A majority-drifted window must.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.Observe(type, miss.generation, 5000.0, 1.0),
-              PlanObserveOutcome::kKept);
+  for (int i = 0; i < kWindow; ++i) {
+    const double rows = i < kWindow / 2 + 1 ? 5000.0 : 10.0;
+    EXPECT_EQ(cache.Observe(type, miss.generation, rows, 1.0),
+              i + 1 < kWindow ? PlanObserveOutcome::kKept
+                              : PlanObserveOutcome::kInvalidated);
   }
-  EXPECT_EQ(cache.Observe(type, miss.generation, 5000.0, 1.0),
-            PlanObserveOutcome::kInvalidated);
 
   PlanCacheLookup after = cache.Lookup(type);
   EXPECT_FALSE(after.hit);
@@ -279,45 +278,40 @@ TEST_F(ServingTest, MajorityQerrorDriftInvalidates) {
 }
 
 TEST_F(ServingTest, ReoptimizationChurnDemotes) {
-  PlanCacheOptions options;
-  options.drift_window = 2;
-  options.max_reoptimizations = 1;
-  PlanCache cache(options);
+  PlanCache cache;
   const uint64_t type = 8;
   PhysicalPlan plan = PlanOf(templates_[0]);
 
-  PlanCacheLookup l0 = cache.Lookup(type);
-  ASSERT_TRUE(cache.TryInstall(type, l0.generation, plan, 10.0));
-  cache.Observe(type, l0.generation, 5000.0, 1.0);
-  EXPECT_EQ(cache.Observe(type, l0.generation, 5000.0, 1.0),
-            PlanObserveOutcome::kInvalidated);
+  // Every installed plan drifts for a whole window. The eviction past
+  // kMaxReoptimizations makes the type sticky always-optimize.
+  for (int reopt = 0; reopt <= PlanCache::kMaxReoptimizations; ++reopt) {
+    PlanCacheLookup l = cache.Lookup(type);
+    ASSERT_TRUE(cache.TryInstall(type, l.generation, plan, 10.0));
+    PlanObserveOutcome last = PlanObserveOutcome::kKept;
+    for (int i = 0; i < PlanCache::kDriftWindow; ++i) {
+      last = cache.Observe(type, l.generation, 5000.0, 1.0);
+    }
+    EXPECT_EQ(last, reopt < PlanCache::kMaxReoptimizations
+                        ? PlanObserveOutcome::kInvalidated
+                        : PlanObserveOutcome::kDemoted);
+  }
 
-  PlanCacheLookup l1 = cache.Lookup(type);
-  ASSERT_TRUE(cache.TryInstall(type, l1.generation, plan, 10.0));
-  cache.Observe(type, l1.generation, 5000.0, 1.0);
-  // Second eviction crosses max_reoptimizations: the type is sticky
-  // always-optimize from here on.
-  EXPECT_EQ(cache.Observe(type, l1.generation, 5000.0, 1.0),
-            PlanObserveOutcome::kDemoted);
-
-  PlanCacheLookup l2 = cache.Lookup(type);
-  EXPECT_FALSE(l2.hit);
-  EXPECT_TRUE(l2.always_optimize);
+  PlanCacheLookup demoted = cache.Lookup(type);
+  EXPECT_FALSE(demoted.hit);
+  EXPECT_TRUE(demoted.always_optimize);
   // A planner that raced the demotion cannot re-cache the type.
-  EXPECT_FALSE(cache.TryInstall(type, l2.generation, plan, 10.0));
+  EXPECT_FALSE(cache.TryInstall(type, demoted.generation, plan, 10.0));
   EXPECT_FALSE(cache.Lookup(type).hit);
 
   PlanCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.invalidations,
+            static_cast<uint64_t>(PlanCache::kMaxReoptimizations + 1));
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_GE(stats.volatile_skips, 1u);
 }
 
 TEST_F(ServingTest, LatencyCvDemotesParameterSensitiveTypes) {
-  PlanCacheOptions options;
-  options.drift_window = 4;
-  options.sensitivity_min_observations = 8;
-  PlanCache cache(options);
+  PlanCache cache;
   const uint64_t type = 9;
   PhysicalPlan plan = PlanOf(templates_[0]);
   PlanCacheLookup miss = cache.Lookup(type);
@@ -325,12 +319,15 @@ TEST_F(ServingTest, LatencyCvDemotesParameterSensitiveTypes) {
   // detector.
   ASSERT_TRUE(cache.TryInstall(type, miss.generation, plan, 0.0));
 
-  PlanObserveOutcome last = PlanObserveOutcome::kKept;
-  for (int i = 0; i < 8; ++i) {
-    last = cache.Observe(type, miss.generation, 10.0,
-                         i == 7 ? 1000.0 : 1.0);  // spiky latency, cv ~ 2.6
+  // Flat latency until the detector arms, then one spike: lifetime CV
+  // ~4.7 > kSensitivityCv at the first armed window boundary.
+  constexpr int kObservations = PlanCache::kSensitivityMinObservations;
+  static_assert(kObservations % PlanCache::kDriftWindow == 0);
+  for (int i = 0; i < kObservations; ++i) {
+    const bool last = i + 1 == kObservations;
+    EXPECT_EQ(cache.Observe(type, miss.generation, 10.0, last ? 1000.0 : 1.0),
+              last ? PlanObserveOutcome::kDemoted : PlanObserveOutcome::kKept);
   }
-  EXPECT_EQ(last, PlanObserveOutcome::kDemoted);
   EXPECT_TRUE(cache.Lookup(type).always_optimize);
   EXPECT_EQ(cache.Stats().demotions, 1u);
 }
