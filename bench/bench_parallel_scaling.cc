@@ -1,7 +1,8 @@
-// Parallel-scaling microbenchmark: wall-clock of each parallelized site at
-// 1/2/4/N threads → BENCH_parallel.json, each sweep checking that parallel
-// results equal serial ones (the determinism contract), so a scaling
-// regression can never hide a correctness one. `--site <name>` runs one site.
+// Parallel-scaling microbenchmark: min/median/max wall-clock of each
+// parallelized site at 1/2/4/N threads over interleaved reps →
+// BENCH_parallel.json, each sweep checking that parallel results equal
+// serial ones (the determinism contract), so a scaling regression can never
+// hide a correctness one. `--site <name>` runs one site.
 
 #include <algorithm>
 #include <cstdint>
@@ -147,7 +148,7 @@ void RunSimdKernelsSite(BenchHarness& h, const std::vector<int>& counts) {
                          f += static_cast<double>(
                                   p.left_rows + p.right_rows + p.output_rows +
                                   p.build_collisions + p.probe_collisions) +
-                              static_cast<double>(p.partitions) + p.time_units;
+                              p.time_units;
                        }
                        return f;
                      });
@@ -349,14 +350,15 @@ int main(int argc, char** argv) {
   }
 
   // A chain catalog past the executor's and SPN's input-size gates (20k
-  // rows/table >> 8192/512): joins run one query at a time, so per-join
-  // build/probe fan-out scales; SPN training fans out over child regions.
+  // rows/table >> 8192/512): chain_join runs hash-joined chain queries one
+  // at a time, so only the scans' morsels can fan out (the joins are
+  // serial); SPN training fans out over child regions.
   const Catalog chain = MakeChainSchema(5, 20000);
   const Executor chain_executor(&chain);
   const Workload join_workload = GenerateWorkload(
       chain,
       {.seed = 777, .num_queries = 12, .min_tables = 3, .max_tables = 5});
-  h.Sweep("partitioned_join", counts, [&] {
+  h.Sweep("chain_join", counts, [&] {
     double fingerprint = 0.0;
     for (const Query& q : join_workload.queries) {
       auto r = chain_executor.Execute(LeftDeep(q));

@@ -62,8 +62,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # The scaling bench sweeps every parallel site at 1/2/4/N threads under
 # TSan and exits nonzero if any site diverges from its serial result (the
 # benchlib harness disarms its plain-build-only throughput gates under
-# sanitizers; every other gate stays armed).
-"$BUILD_DIR"/bench/bench_parallel_scaling
+# sanitizers; every other gate stays armed). A full run writes its
+# BENCH_*.json ledger to the cwd, so it runs inside the build tree and the
+# committed plain-build ledger at the repo root stays untouched.
+(cd "$BUILD_DIR" && ./bench/bench_parallel_scaling)
 
 # Executor and SIMD-dispatch gates, under TSan + 4 threads: selection-vector
 # kernel reference checks, scalar-vs-AVX2 kernel bit-equality (extreme

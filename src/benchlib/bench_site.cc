@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/stats_util.h"
 #include "engine/simd.h"
 
 namespace lqo {
@@ -140,12 +141,24 @@ bool BenchHarness::Runs(const std::string& site) {
   return only_.empty() || only_ == site;
 }
 
-void BenchHarness::Record(int threads, double seconds, bool matches) {
+void BenchHarness::Record(size_t count_index, double seconds, bool matches) {
   SweepReport& sweep = sweeps_.back();
-  sweep.seconds_at.emplace_back(threads, seconds);
+  sweep.seconds[count_index].push_back(seconds);
   sweep.deterministic &= matches;
-  std::fprintf(stderr, "  %-18s %2d threads  %8.3fs%s\n", sweep.site.c_str(),
-               threads, seconds, matches ? "" : "  NONDETERMINISTIC!");
+  if (!matches) {
+    std::fprintf(stderr, "  %-18s %2d threads  NONDETERMINISTIC!\n",
+                 sweep.site.c_str(), sweep.threads[count_index]);
+  }
+}
+
+void BenchHarness::PrintSweep() const {
+  const SweepReport& sweep = sweeps_.back();
+  for (size_t i = 0; i < sweep.threads.size(); ++i) {
+    const std::vector<double>& s = sweep.seconds[i];
+    std::fprintf(stderr, "  %-18s %2d threads  %8.4fs median  [%.4f, %.4f]\n",
+                 sweep.site.c_str(), sweep.threads[i], Quantile(s, 0.5),
+                 Quantile(s, 0.0), Quantile(s, 1.0));
+  }
 }
 
 void BenchHarness::Gate(GateArming arming, const std::function<bool()>& holds,
@@ -180,13 +193,19 @@ Json BenchHarness::SweepsJson() const {
   for (const SweepReport& r : sweeps_) {
     Json timings = Json::Array();
     double serial = 0.0, four = 0.0;
-    for (const auto& [threads, seconds] : r.seconds_at) {
-      timings.Push(Json::Object({{"threads", threads}, {"seconds", seconds}}));
-      if (threads == 1) serial = seconds;
-      if (threads == 4) four = seconds;
+    for (size_t i = 0; i < r.threads.size(); ++i) {
+      const std::vector<double>& s = r.seconds[i];
+      const double median = Quantile(s, 0.5);
+      timings.Push(Json::Object({{"threads", r.threads[i]},
+                                 {"min_seconds", Quantile(s, 0.0)},
+                                 {"median_seconds", median},
+                                 {"max_seconds", Quantile(s, 1.0)}}));
+      if (r.threads[i] == 1) serial = median;
+      if (r.threads[i] == 4) four = median;
     }
     sites.Push(Json::Object({{"name", r.site},
                              {"deterministic", r.deterministic},
+                             {"reps", SweepReps()},
                              {"timings", timings},
                              {"speedup_4v1", serial > 0.0 && four > 0.0
                                                  ? serial / four

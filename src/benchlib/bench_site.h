@@ -82,24 +82,35 @@ class BenchHarness {
   /// Hardware concurrency.
   int hw() const { return hw_; }
 
-  /// When `site` runs, times `work` at each of `threads` and compares each
-  /// returned fingerprint with the first; any difference marks the sweep
-  /// nondeterministic and fails the run. Restores the global pool's size.
+  /// Timed reps per thread count of every Sweep: 1 in sanitized builds
+  /// (which only check determinism), kSweepReps otherwise.
+  static constexpr int kSweepReps = 7;
+  static int SweepReps() { return SanitizedBuild() ? 1 : kSweepReps; }
+
+  /// When `site` runs, times `work` SweepReps() times at each of `threads`,
+  /// interleaved (every rep visits every count in order, so a burst of host
+  /// load lands on all counts), and compares each returned fingerprint with
+  /// the first; any difference marks the sweep nondeterministic and fails
+  /// the run. Restores the global pool's size.
   template <typename Work>
   void Sweep(const std::string& site, const std::vector<int>& threads,
              Work&& work) {
     if (!Runs(site)) return;
     const int entry_threads = ThreadPool::Global().num_threads();
-    sweeps_.push_back({site, {}, true});
+    sweeps_.push_back({site, threads, {}, true});
+    sweeps_.back().seconds.resize(threads.size());
     decltype(work()) reference{};
-    for (size_t i = 0; i < threads.size(); ++i) {
-      ThreadPool::SetGlobalThreads(threads[i]);
-      decltype(work()) fingerprint{};
-      double secs = SecondsOf([&] { fingerprint = work(); });
-      if (i == 0) reference = fingerprint;
-      Record(threads[i], secs, fingerprint == reference);
+    for (int rep = 0; rep < SweepReps(); ++rep) {
+      for (size_t i = 0; i < threads.size(); ++i) {
+        ThreadPool::SetGlobalThreads(threads[i]);
+        decltype(work()) fingerprint{};
+        double secs = SecondsOf([&] { fingerprint = work(); });
+        if (rep == 0 && i == 0) reference = fingerprint;
+        Record(i, secs, fingerprint == reference);
+      }
     }
     ThreadPool::SetGlobalThreads(entry_threads);
+    PrintSweep();
   }
 
   /// Declares a bound. `holds` runs only when the gate is armed; a failure
@@ -112,8 +123,9 @@ class BenchHarness {
   /// SIMD level, compiler version, build type).
   Json& Ledger(const std::string& file);
 
-  /// Every sweep so far: name, deterministic, (threads, seconds) timings
-  /// and the 4-thread speedup over serial.
+  /// Every sweep so far: name, deterministic, reps, min/median/max seconds
+  /// per thread count, and the 4-thread speedup over serial as a ratio of
+  /// medians.
   Json SweepsJson() const;
   bool deterministic() const;
 
@@ -125,10 +137,12 @@ class BenchHarness {
  private:
   struct SweepReport {
     std::string site;
-    std::vector<std::pair<int, double>> seconds_at;  // (threads, seconds)
+    std::vector<int> threads;
+    std::vector<std::vector<double>> seconds;  // per thread count, per rep
     bool deterministic = true;
   };
-  void Record(int threads, double seconds, bool matches);
+  void Record(size_t count_index, double seconds, bool matches);
+  void PrintSweep() const;
 
   std::string binary_;
   std::string only_;

@@ -57,14 +57,13 @@ const AggKernelTable& AggKernelsFor(Level level);
 /// ids assigned in *first-seen row order* — the order the executor's dense
 /// key path and the naive test oracle (tests/naive_exec_oracle.h, a
 /// std::map from key to first-seen index) assign them, so grouped output
-/// rows do not depend on which path ran. Reuses the partitioned-join hashing
+/// rows do not depend on which path ran. Reuses the hash join's hashing
 /// contract: callers hash keys batch-wise through the dispatched
 /// hash_combine_column/hash_finalize kernels (bit-identical to
 /// FinalizeHash(HashCombine(0, key)) at every level) and pass the hashes
 /// in. Linear probing over power-of-two capacity, load factor <= 0.5,
 /// doubling growth — the same slot discipline as the executor's
-/// JoinHashTable, minus the per-partition split (group counts are small
-/// relative to probe counts).
+/// JoinHashTable, which is instead sized once from its build rows.
 class GroupIndex {
  public:
   explicit GroupIndex(size_t expected_groups = 16);

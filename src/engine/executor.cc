@@ -16,20 +16,16 @@
 namespace lqo {
 namespace {
 
-// Morsel/partition geometry. All values are input-size gated only — never
+// Morsel geometry. Both values are input-size gated only — never
 // thread-count gated — so the execution structure (and therefore every
 // output bit) is identical at any LQO_THREADS setting.
 constexpr size_t kScanMorselRows = 4096;
 // Below this many input rows a scan runs as one morsel.
 constexpr uint64_t kParallelScanMinRows = 8192;
-// Radix partitions for large joins; must be a power of two.
-constexpr size_t kJoinPartitions = 16;
-// Below this many build+probe rows a join uses a single partition.
-constexpr uint64_t kParallelJoinMinRows = 8192;
 // Physical-strategy gates for the declared-algorithm join paths. A node
 // declared merge/nested-loop *executes* as such only when its inputs fit
 // under these input-size-only (therefore deterministic) bounds; above them
-// it falls back to the partitioned hash execution, which produces the same
+// it falls back to the hash execution, which produces the same
 // output multiset, so hint-forced pathological plans keep reporting their
 // declared cost without pathological wall-clock. Both real paths emit rows
 // in a deterministic order of their own (merge: key order with row-id
@@ -73,19 +69,13 @@ double Log2Rows(uint64_t rows) {
   return std::log2(static_cast<double>(std::max<uint64_t>(rows, 2)));
 }
 
-// The partition of a hash uses its top bits; open-addressing slots use the
-// low bits, so the two never alias.
-size_t PartitionOf(uint64_t h, size_t num_partitions) {
-  return static_cast<size_t>(h >> 32) & (num_partitions - 1);
-}
-
 size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
 }
 
-/// Open-addressing (linear-probing) hash table over one join partition.
+/// Open-addressing (linear-probing) hash table over a join's build side.
 /// Stores one slot per build row, sized for load factor <= 0.5 from the
 /// exact build count — "sized from the estimate" with the executor's
 /// perfect estimate; no per-row rehashing, no node allocations.
@@ -369,7 +359,7 @@ class PlanRunner {
 
   // Gathers base-table key column `column` of `table` through `side`'s
   // row-id column into `*out` — the on-demand key materialization of the
-  // late pipeline. Morsel-parallel with disjoint writes, so deterministic.
+  // late pipeline.
   Status GatherKeyColumn(const Chunk& side, int table,
                          const std::string& column,
                          std::vector<int64_t>* out) const {
@@ -385,10 +375,7 @@ class PlanRunner {
     out->resize(ids.size());
     int64_t* dst = out->data();
     const uint32_t* src = ids.data();
-    ParallelFor(HashMorsels(ids.size()), [&](size_t m) {
-      auto [begin, end] = MorselRange(m, ids.size());
-      for (size_t i = begin; i < end; ++i) dst[i] = base[src[i]];
-    });
+    for (size_t i = 0; i < ids.size(); ++i) dst[i] = base[src[i]];
     return Status::Ok();
   }
 
@@ -541,10 +528,8 @@ class PlanRunner {
     profile.time_units = time;
     profile.build_collisions = exec.build_collisions;
     profile.probe_collisions = exec.probe_collisions;
-    profile.partitions = exec.partitions;
     profile.build_seconds = exec.build_seconds;
     profile.probe_seconds = exec.probe_seconds;
-    profile.concat_seconds = exec.concat_seconds;
     profile.carried_columns = static_cast<uint64_t>(PopCount(keep));
     profile.materialized_values = out.num_rows * profile.carried_columns;
     profiles_.push_back(profile);
@@ -560,10 +545,8 @@ class PlanRunner {
     uint64_t probe_collisions = 0;
     uint64_t max_bucket = 0;
     double mean_bucket = 1.0;
-    int partitions = 1;
     double build_seconds = 0.0;
     double probe_seconds = 0.0;
-    double concat_seconds = 0.0;
   };
 
   // Fixed-size buffer of matched (left row, right row) pairs, shared by the
@@ -617,153 +600,80 @@ class PlanRunner {
     out->rowids.resize(rowid_plan.size());
   }
 
-  // Radix-partitioned open-addressing hash join — the workhorse strategy,
-  // and the fallback that executes merge/NLJ-declared nodes whose inputs
-  // exceed the real-path gates (same output multiset either way).
+  // Open-addressing hash join over one table — the workhorse strategy, and
+  // the fallback that executes merge/NLJ-declared nodes whose inputs exceed
+  // the real-path gates (same output multiset either way). Build rows are
+  // inserted in row order, so rows sharing a hash lie along one probe run in
+  // build-row order; left rows then probe in row order. Output rows are
+  // therefore in probe-row order, each row's matches in build-row order.
   JoinExecOut ExecuteHashJoin(const Chunk& left, const Chunk& right,
                               const std::vector<const int64_t*>& lkeys,
                               const std::vector<const int64_t*>& rkeys,
                               const std::vector<RowidSrc>& rowid_plan) {
-    // Input-size gate: small joins run the identical code with a single
-    // partition (which ParallelFor executes inline).
-    size_t num_partitions =
-        left.num_rows + right.num_rows >= kParallelJoinMinRows
-            ? kJoinPartitions
-            : 1;
     const simd::KernelTable& kt = simd::Kernels();
-
     // Column-wise batched hash kernel: one dispatched N-lane combine pass
-    // per key column over the morsel range, then one finalize pass. Per row
-    // it equals FinalizeHash over HashCombine of the key columns in order,
-    // at every SIMD level (the simd layer's bit-identity contract).
-    auto hash_range_columnwise = [&](const std::vector<const int64_t*>& keys,
-                                     size_t begin, size_t end,
-                                     uint64_t* hashes) {
-      for (size_t r = begin; r < end; ++r) hashes[r] = 0;
+    // per key column, then one finalize pass. Per row it equals
+    // FinalizeHash over HashCombine of the key columns in order, at every
+    // SIMD level (the simd layer's bit-identity contract).
+    auto hash_columnwise = [&](const std::vector<const int64_t*>& keys,
+                               uint64_t rows) {
+      std::vector<uint64_t> hashes(static_cast<size_t>(rows), 0);
       for (const int64_t* data : keys) {
-        kt.hash_combine_column(hashes, data, begin, end);
+        kt.hash_combine_column(hashes.data(), data, 0, hashes.size());
       }
-      kt.hash_finalize(hashes, begin, end);
+      kt.hash_finalize(hashes.data(), 0, hashes.size());
+      return hashes;
     };
-
-    // ---- Build phase: hash, scatter, per-partition open addressing. ----
-    auto build_start = std::chrono::steady_clock::now();
-
-    std::vector<uint64_t> right_hashes(static_cast<size_t>(right.num_rows));
-    ParallelFor(HashMorsels(right.num_rows), [&](size_t m) {
-      auto [begin, end] = MorselRange(m, right.num_rows);
-      hash_range_columnwise(rkeys, begin, end, right_hashes.data());
-    });
-    // Serial scatter in row order: partition row lists preserve build-side
-    // row order, making table layout independent of thread count.
-    std::vector<std::vector<uint32_t>> build_rows(num_partitions);
-    for (uint32_t r = 0; r < right.num_rows; ++r) {
-      build_rows[PartitionOf(right_hashes[r], num_partitions)].push_back(r);
-    }
-    std::vector<JoinHashTable> tables;
-    tables.reserve(num_partitions);
-    for (size_t p = 0; p < num_partitions; ++p) {
-      tables.emplace_back(build_rows[p].size());
-    }
-    ParallelFor(num_partitions, [&](size_t p) {
-      for (uint32_t r : build_rows[p]) {
-        tables[p].Insert(right_hashes[r], r);
-      }
-    });
-
-    uint64_t build_collisions = 0;
-    uint64_t distinct_hashes = 0;
-    uint64_t max_bucket = 0;
-    for (const JoinHashTable& t : tables) {
-      build_collisions += t.build_collisions;
-      distinct_hashes += t.distinct_hashes;
-      max_bucket = std::max(max_bucket, t.max_chain);
-    }
-    double mean_bucket =
-        distinct_hashes == 0
-            ? 1.0
-            : static_cast<double>(right.num_rows) /
-                  static_cast<double>(distinct_hashes);
-    double build_seconds = WallSeconds(build_start);
-
-    // ---- Probe phase: hash, scatter, per-partition probe. ----
-    auto probe_start = std::chrono::steady_clock::now();
-
-    std::vector<uint64_t> left_hashes(static_cast<size_t>(left.num_rows));
-    ParallelFor(HashMorsels(left.num_rows), [&](size_t m) {
-      auto [begin, end] = MorselRange(m, left.num_rows);
-      hash_range_columnwise(lkeys, begin, end, left_hashes.data());
-    });
-    std::vector<std::vector<uint64_t>> probe_rows(num_partitions);
-    for (uint64_t l = 0; l < left.num_rows; ++l) {
-      probe_rows[PartitionOf(left_hashes[l], num_partitions)].push_back(l);
-    }
-
-    struct PartitionOut {
-      std::vector<std::vector<uint32_t>> rowid_cols;
-      uint64_t num_rows = 0;
-      uint64_t probe_collisions = 0;
-    };
-    // Each partition probes its left rows in (preserved) row order against
-    // its private table, buffering matches into an index-addressed slot.
-    std::vector<PartitionOut> outs = ParallelMap(num_partitions, [&](size_t p) {
-      PartitionOut out;
-      const JoinHashTable& table = tables[p];
-      out.rowid_cols.resize(rowid_plan.size());
-      MatchBuffer<uint64_t> matches{left, right, rowid_plan, &out.rowid_cols,
-                                    &out.num_rows};
-      for (uint64_t l : probe_rows[p]) {
-        uint64_t h = left_hashes[l];
-        size_t slot = static_cast<size_t>(h) & table.mask;
-        while (table.rows[slot] != JoinHashTable::kEmpty) {
-          if (table.hashes[slot] != h) {
-            ++out.probe_collisions;
-            slot = (slot + 1) & table.mask;
-            continue;
-          }
-          uint32_t r = table.rows[slot];
-          bool match = true;
-          for (size_t k = 0; k < lkeys.size(); ++k) {
-            if (lkeys[k][l] != rkeys[k][r]) {
-              match = false;
-              break;
-            }
-          }
-          if (match) matches.Add(l, r);
-          slot = (slot + 1) & table.mask;
-        }
-      }
-      matches.Flush();
-      return out;
-    });
-    double probe_seconds = WallSeconds(probe_start);
-
-    // ---- Concat phase: ordered reduction over partition outputs. ----
-    auto concat_start = std::chrono::steady_clock::now();
     JoinExecOut exec;
+
+    auto build_start = std::chrono::steady_clock::now();
+    const std::vector<uint64_t> right_hashes =
+        hash_columnwise(rkeys, right.num_rows);
+    JoinHashTable table(right_hashes.size());
+    for (uint32_t r = 0; r < right.num_rows; ++r) {
+      table.Insert(right_hashes[r], r);
+    }
+    exec.build_collisions = table.build_collisions;
+    exec.max_bucket = table.max_chain;
+    if (table.distinct_hashes > 0) {
+      exec.mean_bucket = static_cast<double>(right.num_rows) /
+                         static_cast<double>(table.distinct_hashes);
+    }
+    exec.build_seconds = WallSeconds(build_start);
+
+    auto probe_start = std::chrono::steady_clock::now();
+    const std::vector<uint64_t> left_hashes =
+        hash_columnwise(lkeys, left.num_rows);
     Chunk& out = exec.chunk;
     InitJoinOut(rowid_plan, &out);
-    uint64_t probe_collisions = 0;
-    for (const PartitionOut& p : outs) {
-      out.num_rows += p.num_rows;
-      probe_collisions += p.probe_collisions;
-    }
-    ParallelFor(rowid_plan.size(), [&](size_t c) {
-      out.rowids[c].reserve(static_cast<size_t>(out.num_rows));
-      for (const PartitionOut& p : outs) {
-        out.rowids[c].insert(out.rowids[c].end(), p.rowid_cols[c].begin(),
-                             p.rowid_cols[c].end());
+    MatchBuffer<uint64_t> matches{left, right, rowid_plan, &out.rowids,
+                                  &out.num_rows};
+    for (uint64_t l = 0; l < left.num_rows; ++l) {
+      uint64_t h = left_hashes[l];
+      size_t slot = static_cast<size_t>(h) & table.mask;
+      while (table.rows[slot] != JoinHashTable::kEmpty) {
+        if (table.hashes[slot] != h) {
+          ++exec.probe_collisions;
+          slot = (slot + 1) & table.mask;
+          continue;
+        }
+        uint32_t r = table.rows[slot];
+        bool match = true;
+        for (size_t k = 0; k < lkeys.size(); ++k) {
+          if (lkeys[k][l] != rkeys[k][r]) {
+            match = false;
+            break;
+          }
+        }
+        if (match) matches.Add(l, r);
+        slot = (slot + 1) & table.mask;
       }
-    });
-    exec.concat_seconds = WallSeconds(concat_start);
-
-    exec.build_collisions = build_collisions;
-    exec.probe_collisions = probe_collisions;
-    exec.max_bucket = max_bucket;
-    exec.mean_bucket = mean_bucket;
-    exec.partitions = static_cast<int>(num_partitions);
-    exec.build_seconds = build_seconds;
-    exec.probe_seconds = probe_seconds;
+    }
+    matches.Flush();
+    // The flushes grow the columns by doubling; trim the slack so a live
+    // intermediate holds exactly its rows.
+    for (std::vector<uint32_t>& col : out.rowids) col.shrink_to_fit();
+    exec.probe_seconds = WallSeconds(probe_start);
     return exec;
   }
 

@@ -22,22 +22,19 @@ struct NodeProfile {
   uint64_t output_rows = 0;
   double time_units = 0.0;
 
-  /// Join nodes: physical hash-join counters from the partitioned
-  /// open-addressing table (deterministic and thread-count invariant —
-  /// partitioning depends only on the input, never on the pool size).
+  /// Join nodes: physical counters of the hash join's one open-addressing
+  /// table (deterministic: the table is built serially in build-row order).
   /// A "collision" is a probe-sequence step over a slot holding a
   /// different hash; rows sharing a hash are chain entries, not collisions.
   uint64_t build_collisions = 0;
   uint64_t probe_collisions = 0;
-  /// Radix partitions used (1 = serial small-input fallback).
-  int partitions = 0;
 
-  /// Wall-clock seconds per join phase (build / probe / ordered concat).
-  /// Diagnostics only: real time, NOT deterministic, excluded from every
-  /// determinism contract; consumed by bench_micro_components.
+  /// Wall-clock seconds per join phase (build / probe, the latter including
+  /// output emission). Diagnostics only: real time, NOT deterministic,
+  /// excluded from every determinism contract; consumed by
+  /// bench_micro_components.
   double build_seconds = 0.0;
   double probe_seconds = 0.0;
-  double concat_seconds = 0.0;
 
   /// Late-materialization accounting. Logical counters, defined by plan
   /// structure and row counts alone (like time_units), so they are
@@ -84,22 +81,22 @@ struct ExecutionResult {
 /// detection) while left+right rows stay under 2^20, nested-loop-declared
 /// nodes run a real block NLJ (inner side through the dispatched filter
 /// kernels) while left*right pairs stay under 2^22, and everything else —
-/// including any declared node above its gate — runs the radix-partitioned
-/// hash join. All three strategies emit the same row multiset, so executing
-/// a pathological plan (e.g. a huge nested-loop join) still reports its true
-/// awful latency without taking quadratic wall-clock time. This is the
+/// including any declared node above its gate — runs the hash join. All
+/// three strategies emit the same row multiset, so executing a pathological
+/// plan (e.g. a huge nested-loop join) still reports its true awful latency
+/// without taking quadratic wall-clock time. This is the
 /// deterministic stand-in for running plans on a real PostgreSQL server
 /// (see DESIGN.md, substitutions).
 ///
-/// Execution is morsel-driven (HyPer-style) on the shared lqo::ThreadPool:
-/// scans filter fixed-size row morsels in parallel and concatenate their
-/// outputs in morsel order; joins radix-partition build and probe by hash
-/// into index-addressed partitions, each with a private open-addressing
-/// table, and concatenate partition outputs in partition order. Inputs
-/// below a fixed tuple threshold run the identical code serially with one
-/// partition/morsel. All boundaries depend only on the input, so results
-/// are bit-for-bit identical across LQO_THREADS settings and SIMD levels
-/// (DESIGN.md "Concurrency model", "Vectorized execution").
+/// Scans filter fixed-size row morsels in parallel on the shared
+/// lqo::ThreadPool and concatenate their outputs in morsel order (inputs
+/// below a fixed tuple threshold run as one morsel); GROUP BY hashes its
+/// keys over the same morsels. Joins are serial: the hash join inserts
+/// build rows in row order into one open-addressing table and probes left
+/// rows in row order, so its output is in probe-row order with each row's
+/// matches in build-row order. All boundaries depend only on the input, so
+/// results are bit-for-bit identical across LQO_THREADS settings and SIMD
+/// levels (DESIGN.md "Concurrency model", "Vectorized execution").
 ///
 /// Within each morsel, rows flow batch-at-a-time: scans run branch-free
 /// selection-vector kernels (engine/filter_kernels.h) over kVecBatchRows-row

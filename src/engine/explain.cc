@@ -63,10 +63,10 @@ void Render(const PlanNode& node, const Query* query,
       << " actual=" << profile.output_rows
       << " time=" << FormatDouble(profile.time_units, 4);
   if (node.kind == PlanNode::Kind::kJoin) {
-    // Physical hash-table health of the partitioned join: probe-sequence
-    // collisions on build/probe plus the radix partition count.
+    // Physical hash-table health of the hash join: probe-sequence
+    // collisions on build/probe.
     out << " collisions=" << profile.build_collisions << "/"
-        << profile.probe_collisions << " partitions=" << profile.partitions;
+        << profile.probe_collisions;
   }
   if (show_materialization) {
     // Late-materialization accounting (only rendered for queries with an

@@ -114,9 +114,9 @@ inline uint64_t HashCombine(uint64_t h, int64_t v) {
 }
 
 /// Murmur3-style finalizer. HashCombine alone leaves the top bits of small
-/// keys nearly constant; radix partitioning reads the top 32 bits and slot
-/// addressing the low bits, so both need full avalanche. Bijective, so
-/// distinct-hash counts (the skew statistic) are unchanged.
+/// keys nearly constant; full avalanche lets slot addressing use any bit
+/// range. Bijective, so distinct-hash counts (the skew statistic) are
+/// unchanged.
 inline uint64_t FinalizeHash(uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;

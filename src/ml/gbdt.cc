@@ -39,13 +39,13 @@ void GradientBoostedTrees::Fit(const std::vector<std::vector<double>>& rows,
       indices = rng.SampleWithoutReplacement(rows.size(), k);
     }
     // Boosting is inherently sequential across trees; the parallelism here
-    // is inside Fit (per-feature split search) and in the per-row update
-    // below, both of which write index-addressed slots.
+    // is inside Fit (per-feature split search), which writes
+    // index-addressed slots.
     RegressionTree tree;
     tree.Fit(rows, residuals, options_.tree, indices, nullptr);
-    ParallelFor(rows.size(), [&](size_t i) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       current[i] += options_.learning_rate * tree.Predict(rows[i]);
-    });
+    }
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;

@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -125,6 +126,29 @@ TEST(BenchHarnessTest, ThreadDependentFingerprintFailsTheRun) {
             std::string::npos)
       << sweeps;
   EXPECT_EQ(h.Finish(), 1);
+}
+
+TEST(BenchHarnessTest, SweepInterleavesThreadCountsOverReps) {
+  EXPECT_EQ(BenchHarness::SweepReps(),
+            SanitizedBuild() ? 1 : BenchHarness::kSweepReps);
+  BenchHarness h = FullRun();
+  std::vector<int> calls;
+  h.Sweep("counts", {1, 2, 4}, [&] {
+    calls.push_back(ThreadPool::Global().num_threads());
+    return 0;
+  });
+  std::vector<int> want;
+  for (int rep = 0; rep < BenchHarness::SweepReps(); ++rep) {
+    want.insert(want.end(), {1, 2, 4});
+  }
+  EXPECT_EQ(calls, want);
+  const std::string sweeps = h.SweepsJson().Render();
+  for (const char* key :
+       {"\"reps\": ", "{\"threads\": 4, \"min_seconds\": ",
+        "\"median_seconds\": ", "\"max_seconds\": ", "\"speedup_4v1\": "}) {
+    EXPECT_NE(sweeps.find(key), std::string::npos) << key << "\n" << sweeps;
+  }
+  EXPECT_EQ(h.Finish(), 0);
 }
 
 TEST(BenchHarnessTest, PlainBuildGateIsNotEvaluatedInSanitizedBuilds) {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -325,11 +326,8 @@ TEST(ExplainAnalyzeTest, RendersEstimatesActualsAndFlagsErrors) {
   EXPECT_NE(text.find("q-error 25"), std::string::npos)
       << text;  // 100 est vs 4 actual.
   EXPECT_NE(text.find("Total: 4 rows"), std::string::npos);
-  // Hash joins report open-addressing collision counts and the radix
-  // partition fan-out; a 4-row toy join stays on the serial single
-  // partition path.
+  // Hash joins report open-addressing collision counts.
   EXPECT_NE(text.find("collisions="), std::string::npos) << text;
-  EXPECT_NE(text.find("partitions=1"), std::string::npos) << text;
 }
 
 // --- Vectorized execution: kernels, edge cases, SIMD-level and
@@ -360,7 +358,6 @@ void ExpectResultsBitIdentical(const ExecutionResult& a,
     EXPECT_EQ(p.time_units, q.time_units) << "node " << i;
     EXPECT_EQ(p.build_collisions, q.build_collisions) << "node " << i;
     EXPECT_EQ(p.probe_collisions, q.probe_collisions) << "node " << i;
-    EXPECT_EQ(p.partitions, q.partitions) << "node " << i;
     EXPECT_EQ(p.carried_columns, q.carried_columns) << "node " << i;
     EXPECT_EQ(p.materialized_values, q.materialized_values) << "node " << i;
     EXPECT_EQ(p.groups, q.groups) << "node " << i;
@@ -435,7 +432,7 @@ class ScopedSimdLevel {
 
 // Executes `plan` at every supported SIMD level and thread count 1/2/8 and
 // expects one bit-identical ExecutionResult — time_units and the collision
-// and partition counters included — equal to the scalar-level, one-thread
+// counters included — equal to the scalar-level, one-thread
 // run, which must in turn match the naive oracle. The scalar-level result
 // lands in `*out` when given.
 void ExpectPlanInvariantAcrossLevelsAndThreads(const Catalog& catalog,
@@ -578,10 +575,9 @@ TEST(VectorizedScanTest, EdgeCaseSelectionsMatchScalar) {
 }
 
 TEST(VectorizedJoinTest, MatchesScalarBitForBitAcrossThreads) {
-  // Sizes straddle the parallel-join threshold (8192 build+probe rows) and
-  // the batch size, so both the single-partition and the 16-partition radix
-  // paths are exercised; match counts exceed kVecBatchRows per partition on
-  // the larger sizes, exercising the match-buffer flush.
+  // Sizes straddle the batch size and the 8192-row scan-morsel threshold;
+  // match counts exceed kVecBatchRows on the larger sizes, exercising the
+  // match-buffer flush.
   struct Shape {
     size_t rows_a, rows_b;
   };
@@ -788,8 +784,7 @@ TEST(SimdJoinTest, NestedLoopBatchesMatchScalarAndHash) {
 
 TEST(SimdJoinTest, AboveGateDeclaredJoinsFallBackToHash) {
   // 3000 x 2000 = 6M pairs > 2^22: an NLJ-declared node must take the hash
-  // strategy (partitioned once past the parallel threshold) yet still charge
-  // quadratic NLJ time.
+  // strategy yet still charge quadratic NLJ time.
   Catalog catalog = MakeSyntheticCatalog(3000, 2000);
   Executor executor(&catalog);
   Query q;
@@ -811,8 +806,6 @@ TEST(SimdJoinTest, AboveGateDeclaredJoinsFallBackToHash) {
   // the NLJ-declared node still pays the quadratic pair cost.
   EXPECT_GT(nlj->node_profiles.back().time_units,
             hash->node_profiles.back().time_units);
-  EXPECT_EQ(nlj->node_profiles.back().partitions,
-            hash->node_profiles.back().partitions);
 }
 
 TEST(SimdJoinTest, ScanFilterPlanInvariantAcrossLevels) {
@@ -1193,6 +1186,54 @@ TEST(ProjectionTest, JoinProjectionInvariantAcrossLevelsAndThreads) {
   plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
                            MakeScanNode(1));
   ExpectPlanInvariantAcrossLevelsAndThreads(catalog, plan);
+}
+
+TEST(ProjectionTest, HashJoinEmitsProbeRowOrderWithMatchesInBuildRowOrder) {
+  // 6000 + 3000 join input rows, enough for a partitioned join to reorder
+  // its output. Each table carries its base row id, so the projected
+  // (a.id, b.id) pairs name the rows every output row joined.
+  Catalog catalog;
+  for (auto [name, rows, mul, add] :
+       {std::tuple{"a", 6000, 37, 11}, std::tuple{"b", 3000, 29, 3}}) {
+    TableBuilder b(name);
+    b.AddInt64Column("k");
+    b.AddInt64Column("id");
+    for (int64_t i = 0; i < rows; ++i) b.AppendRow({(i * mul + add) % 512, i});
+    LQO_CHECK(catalog.AddTable(b.Build()).ok());
+  }
+  LQO_CHECK(catalog.AddJoinEdge({"a", "k", "b", "k"}).ok());
+  Query q;
+  q.AddTable("a");
+  q.AddTable("b");
+  q.AddJoin(0, "k", 1, "k");
+  q.AddOutput(OutputExpr::Column(0, "id"));
+  q.AddOutput(OutputExpr::Column(1, "id"));
+  PhysicalPlan plan;
+  plan.query = &q;
+  plan.root = MakeJoinNode(JoinAlgorithm::kHashJoin, MakeScanNode(0),
+                           MakeScanNode(1));
+  auto got = Executor(&catalog).Execute(plan);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_GT(got->row_count, 0u);
+  // Probe (left) rows in row order, each one's matches in build-row order:
+  // the (a.id, b.id) pairs ascend strictly.
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (size_t r = 0; r < got->output_row_count; ++r) {
+    pairs.emplace_back(got->output_cols[0][r], got->output_cols[1][r]);
+  }
+  EXPECT_TRUE(std::adjacent_find(pairs.begin(), pairs.end(),
+                                 [](const auto& x, const auto& y) {
+                                   return x >= y;
+                                 }) == pairs.end());
+  // That is the naive oracle's own order, row for row.
+  oracle::NaiveEvaluator naive(catalog, q);
+  std::vector<std::vector<int64_t>> want = naive.Output(plan.root->table_set);
+  ASSERT_EQ(want.size(), pairs.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(want[r], (std::vector<int64_t>{pairs[r].first, pairs[r].second}))
+        << "row " << r;
+  }
+  ExpectMatchesOracle(catalog, plan, *got);
 }
 
 TEST(ExecutorTest, RejectsInvalidOutputStage) {

@@ -348,7 +348,8 @@ TEST_F(ThreadPoolTest, LearnedBatchEstimatorsAreReentrantAcrossPlanners) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 2 sites: partitioned join, model training, batched candidate costing.
+// Thread-count invariance: hash join, model training, batched candidate
+// costing.
 // Each must be bit-for-bit identical at LQO_THREADS = 1, 2 and 8.
 // ---------------------------------------------------------------------------
 
@@ -364,9 +365,9 @@ void ExpectThreadCountInvariant(Fn&& work) {
   }
 }
 
-TEST_F(ThreadPoolTest, PartitionedHashJoinIsThreadCountInvariant) {
-  // 6000 + 6000 input rows clear the 8192-tuple gate, so the join takes the
-  // 16-partition parallel path at every thread count.
+TEST_F(ThreadPoolTest, LargeHashJoinIsThreadCountInvariant) {
+  // 6000-row tables: 6000 + 6000 join input rows, past the 8192-row
+  // threshold at which scans split into parallel morsels.
   Catalog chain = MakeChainSchema(3, 6000);
   Executor executor(&chain);
   WorkloadOptions wopts;
@@ -376,7 +377,7 @@ TEST_F(ThreadPoolTest, PartitionedHashJoinIsThreadCountInvariant) {
   wopts.seed = 88;
   Workload workload = GenerateWorkload(chain, wopts);
   ExpectThreadCountInvariant([&] {
-    std::vector<std::tuple<uint64_t, double, uint64_t, uint64_t, int>> out;
+    std::vector<std::tuple<uint64_t, double, uint64_t, uint64_t>> out;
     for (const Query& q : workload.queries) {
       PhysicalPlan plan =
           MakeLeftDeepPlan(q, q.AllTables(), JoinAlgorithm::kHashJoin);
@@ -384,9 +385,9 @@ TEST_F(ThreadPoolTest, PartitionedHashJoinIsThreadCountInvariant) {
       LQO_CHECK(result.ok());
       for (const NodeProfile& p : result->node_profiles) {
         out.emplace_back(p.output_rows, p.time_units, p.build_collisions,
-                         p.probe_collisions, p.partitions);
+                         p.probe_collisions);
       }
-      out.emplace_back(result->row_count, result->time_units, 0u, 0u, 0);
+      out.emplace_back(result->row_count, result->time_units, 0u, 0u);
     }
     return out;
   });
