@@ -217,6 +217,26 @@ void RunSimdKernelsSite(BenchHarness& h, const std::vector<int>& counts) {
       .Set("nested_loop_join", nlj_json);
 }
 
+// Folds a result's row counts, every output value and every node's profile
+// counters (groups included) and time_units.
+double OutputFingerprint(const ExecutionResult& r) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::vector<int64_t>& col : r.output_cols) {
+    for (int64_t x : col) {
+      hash = (hash ^ static_cast<uint64_t>(x)) * 0x100000001b3ull;
+    }
+  }
+  double f = static_cast<double>(r.row_count) * 1e-3 +
+             static_cast<double>(r.output_row_count) +
+             static_cast<double>(hash >> 11) * 1e-9;
+  for (const NodeProfile& p : r.node_profiles) {
+    f += static_cast<double>(p.output_rows + p.carried_columns +
+                             p.materialized_values + p.groups) +
+         p.time_units;
+  }
+  return f;
+}
+
 // agg_projection: the late-materialization output pipeline (DESIGN.md) over
 // every SIMD level x thread count, folding every output value; rows/s →
 // BENCH_agg.json. Shapes: 512 groups of ~512 rows over a scan, grouping over
@@ -239,23 +259,7 @@ void RunAggProjectionSite(BenchHarness& h, const std::vector<int>& counts) {
   h.Sweep("agg_projection", counts, [&] {
     return LevelCube(
         {{&exec, &group_plan}, {&exec, &jgroup_plan}, {&exec, &proj_plan}},
-        [](const ExecutionResult& r) {
-          uint64_t hash = 0xcbf29ce484222325ull;
-          for (const std::vector<int64_t>& col : r.output_cols) {
-            for (int64_t x : col) {
-              hash = (hash ^ static_cast<uint64_t>(x)) * 0x100000001b3ull;
-            }
-          }
-          double f = static_cast<double>(r.row_count) * 1e-3 +
-                     static_cast<double>(r.output_row_count) +
-                     static_cast<double>(hash >> 11) * 1e-9;
-          for (const NodeProfile& p : r.node_profiles) {
-            f += static_cast<double>(p.output_rows + p.carried_columns +
-                                     p.materialized_values + p.groups) +
-                 p.time_units;
-          }
-          return f;
-        });
+        OutputFingerprint);
   });
   Json shapes = Json::Array();
   for (const auto& [name, plan, rows] :
@@ -271,6 +275,46 @@ void RunAggProjectionSite(BenchHarness& h, const std::vector<int>& counts) {
                                     }})[0]}}));
   }
   h.Ledger("BENCH_agg.json").Set("rows", kFactRows).Set("shapes", shapes);
+}
+
+// scan_filter: the executor's parallel splits without any join, at the
+// active SIMD level — scan morsels under a COUNT(*) range filter, and GROUP
+// BY hash morsels under a grouped filter whose key domain is past the
+// direct-table cap (2 * rows + 1024, and 2^20), so keys are hashed.
+void RunScanFilterSite(BenchHarness& h, const std::vector<int>& counts) {
+  constexpr uint32_t kRows = 1u << 18;
+  constexpr int64_t kGroups = 4096;
+  constexpr int64_t kKeyStride = 1000003;  // domain ~4.1e9
+  Rng rng(107);
+  TableBuilder builder("fact");
+  builder.AddInt64Column("v");
+  builder.AddInt64Column("g");
+  std::set<int64_t> grouped_keys;  // keys of rows the grouped filter keeps
+  for (uint32_t r = 0; r < kRows; ++r) {
+    const int64_t v = rng.UniformInt(0, 999);
+    const int64_t g = rng.UniformInt(0, kGroups - 1) * kKeyStride;
+    builder.AppendRow({v, g});
+    if (v >= 50 && v <= 900) grouped_keys.insert(g);
+  }
+  Catalog cat;
+  LQO_CHECK(cat.AddTable(builder.Build()).ok());
+  LQO_CHECK(*grouped_keys.rbegin() - *grouped_keys.begin() >= (1 << 20));
+  Executor exec(&cat);
+  const Query filter_q = *ParseSql(
+      cat, "SELECT COUNT(*) FROM fact f WHERE f.v BETWEEN 100 AND 600");
+  const Query group_q = *ParseSql(
+      cat, "SELECT f.g, COUNT(*), SUM(f.v) FROM fact f WHERE f.v BETWEEN 50 "
+           "AND 900 GROUP BY f.g");
+  const PhysicalPlan filter_plan = LeftDeep(filter_q);
+  const PhysicalPlan group_plan = LeftDeep(group_q);
+  const ExecutionResult grouped = *exec.Execute(group_plan);
+  uint64_t groups = 0;
+  for (const NodeProfile& node : grouped.node_profiles) groups += node.groups;
+  LQO_CHECK_EQ(groups, grouped_keys.size());
+  h.Sweep("scan_filter", counts, [&] {
+    return OutputFingerprint(*exec.Execute(filter_plan)) +
+           OutputFingerprint(*exec.Execute(group_plan));
+  });
 }
 
 std::vector<std::vector<double>> MakeMlRows(size_t n,
@@ -442,46 +486,34 @@ int main(int argc, char** argv) {
         .Set("models", models);
   }
 
-  // Plan-signature feature cache: a cold epoch of concurrent inserts, then a
-  // warm one of hits; summing served features makes a wrong row, torn write
-  // or stale serve a determinism failure. Cold (featurize) vs warm (serve by
-  // key) rows/s → BENCH_cache.json.
-  std::vector<PhysicalPlan> candidates;
-  for (const Query& q : workload.queries) {
-    for (JoinAlgorithm a : {JoinAlgorithm::kHashJoin, JoinAlgorithm::kMergeJoin,
-                            JoinAlgorithm::kNestedLoopJoin}) {
-      candidates.push_back(LeftDeep(q, a));
-    }
-  }
-  auto featurize_all = [&](FeatureCache* cache) {
-    E2eContext context = lab->Context();
-    context.feature_cache = cache;
-    return ParallelMap(candidates.size(), [&](size_t i) {
-      double sum = 0.0;
-      for (double x : FeaturizePlanCachedVec(context, *candidates[i].query,
-                                             candidates[i],
-                                             /*annotated=*/false)) {
-        sum += x;
-      }
-      return sum;
-    });
-  };
-  h.Sweep("feature_cache", counts, [&] {
-    FeatureCache cache(PlanFeaturizer::kDim);
-    double fingerprint = 0.0;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-      for (double s : featurize_all(&cache)) fingerprint += s;
-    }
-    return fingerprint;
-  });
+  // Plan-signature feature cache: a cold pass that featurizes and inserts
+  // every candidate plan, then warm passes served by key. Cold vs warm
+  // rows/s → BENCH_cache.json.
   if (h.Runs("feature_cache")) {
+    std::vector<PhysicalPlan> candidates;
+    for (const Query& q : workload.queries) {
+      for (JoinAlgorithm a :
+           {JoinAlgorithm::kHashJoin, JoinAlgorithm::kMergeJoin,
+            JoinAlgorithm::kNestedLoopJoin}) {
+        candidates.push_back(LeftDeep(q, a));
+      }
+    }
     const double n = static_cast<double>(candidates.size());
     double cold = 0.0, warm = 0.0;
     FeatureCacheStats stats;
     for (int rep = 0; rep < 3; ++rep) {
       FeatureCache cache(PlanFeaturizer::kDim);
+      E2eContext context = lab->Context();
+      context.feature_cache = &cache;
       const std::function<double()> pass = [&] {
-        return featurize_all(&cache)[0];
+        double sum = 0.0;
+        for (const PhysicalPlan& plan : candidates) {
+          for (double x : FeaturizePlanCachedVec(context, *plan.query, plan,
+                                                 /*annotated=*/false)) {
+            sum += x;
+          }
+        }
+        return sum;
       };
       cold = std::max(cold, BestRates(1, 1, n, {pass})[0]);
       warm = std::max(warm, BestRates(5, 1, n, {pass})[0]);
@@ -497,6 +529,7 @@ int main(int argc, char** argv) {
                                             {"evictions", stats.evictions}}));
   }
 
+  if (h.Runs("scan_filter")) RunScanFilterSite(h, counts);
   if (h.Runs("simd_kernels")) RunSimdKernelsSite(h, counts);
   if (h.Runs("agg_projection")) RunAggProjectionSite(h, counts);
   h.Ledger("BENCH_parallel.json")

@@ -118,7 +118,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # sessions (drift + parameter-sensitive scenarios included) through the
 # shared plan cache at LQO_THREADS 1/2/8 and exits nonzero unless the
 # fingerprints are bit-identical (the families site, with the cache-quality
-# and throughput gates, is not run here).
+# and throughput gates, is not run here). The plan cache is single-threaded
+# and holds no lock, so the TSan run also shows that no pool task of the
+# replay enters it.
 "$BUILD_DIR"/bench/bench_serving --site determinism
 echo "check.sh: stage 2 (TSan suite) passed with LQO_THREADS=4"
 

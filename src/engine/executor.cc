@@ -124,9 +124,10 @@ struct AggAcc {
   int64_t mx = INT64_MIN;
 };
 
-// Rejects plan trees the runner would otherwise index or dereference
-// unchecked. Plans also come from learned producers, hints and PilotScope
-// drivers, so a malformed tree must surface as a Status, never a crash.
+}  // namespace
+
+// Plans also come from learned producers, hints and PilotScope drivers, so
+// a malformed tree must surface as a Status, never a crash.
 Status ValidatePlanShape(const PlanNode& node, int num_tables) {
   if (node.kind == PlanNode::Kind::kScan) {
     if (node.table_index < 0 || node.table_index >= num_tables) {
@@ -154,6 +155,8 @@ Status ValidatePlanShape(const PlanNode& node, int num_tables) {
   if (!left.ok()) return left;
   return ValidatePlanShape(*node.right, num_tables);
 }
+
+namespace {
 
 class PlanRunner {
  public:

@@ -107,9 +107,7 @@ struct ExecutionResult {
 /// checked against an independent naive evaluator in the tests
 /// (tests/naive_exec_oracle.h), not against a second engine path.
 ///
-/// Execute() first checks the plan's shape — scan indices inside the query,
-/// non-null join children over disjoint inputs, and table sets that match
-/// their scan bit or the union of their children — and returns
+/// Execute() first checks the plan's shape (ValidatePlanShape) and returns
 /// InvalidArgument instead of running a malformed tree.
 class Executor {
  public:
@@ -127,6 +125,13 @@ class Executor {
   const Catalog* catalog_;
   CostConstants constants_;
 };
+
+/// Checks the shape of the plan tree under `node` for a query of
+/// `num_tables` tables: scan indices inside the query, non-null join
+/// children over disjoint inputs, and table sets that match their scan bit
+/// or the union of their children. Returns InvalidArgument on the first
+/// violation, before anything indexes or dereferences the tree.
+Status ValidatePlanShape(const PlanNode& node, int num_tables);
 
 /// Builds a left-deep plan over the connected table set `tables` of `query`
 /// using `algorithm` for every join. Table order is greedy-BFS from the

@@ -1,7 +1,6 @@
 #include "ml/feature_cache.h"
 
 #include <cstring>
-#include <mutex>
 
 #include "common/logging.h"
 
@@ -14,57 +13,31 @@ FeatureCache::FeatureCache(size_t dim, size_t max_rows)
 }
 
 bool FeatureCache::Lookup(uint64_t key, uint32_t version, double* out) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (version == version_) {
-      auto it = slots_.find(key);
-      if (it != slots_.end()) {
-        std::memcpy(out, rows_.Row(it->second), dim_ * sizeof(double));
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      // Fall through to the previous generation. No promotion: moving the
-      // row would need the exclusive lock, and rotated-out rows are served
-      // read-only until the next rotation drops them.
-      auto prev = slots_prev_.find(key);
-      if (prev != slots_prev_.end()) {
-        std::memcpy(out, rows_prev_.Row(prev->second), dim_ * sizeof(double));
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  if (version != version_) {
+    // Drop every resident row before reporting the miss so a
+    // stale-featurizer row can never be served.
+    Clear();
+    version_ = version;
+    stats_.evictions += 1;
   }
-  // Version changed: drop every resident row before reporting the miss so a
-  // stale-featurizer row can never be served. Re-check under the exclusive
-  // lock — another thread may have already adopted the new version.
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (version != version_) {
-      ClearLocked();
-      version_ = version;
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    auto it = slots_.find(key);
-    if (it != slots_.end()) {
-      std::memcpy(out, rows_.Row(it->second), dim_ * sizeof(double));
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    auto prev = slots_prev_.find(key);
-    if (prev != slots_prev_.end()) {
-      std::memcpy(out, rows_prev_.Row(prev->second), dim_ * sizeof(double));
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  const double* row = nullptr;
+  if (auto it = slots_.find(key); it != slots_.end()) {
+    row = rows_.Row(it->second);
+  } else if (auto prev = slots_prev_.find(key); prev != slots_prev_.end()) {
+    // Rotated-out rows are served in place, without promotion, until the
+    // next rotation drops them.
+    row = rows_prev_.Row(prev->second);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  if (row == nullptr) {
+    stats_.misses += 1;
+    return false;
+  }
+  std::memcpy(out, row, dim_ * sizeof(double));
+  stats_.hits += 1;
+  return true;
 }
 
 void FeatureCache::Insert(uint64_t key, uint32_t version, const double* row) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
   // Insert must run under the same version its row was computed under; a
   // mismatch means the caller bumped the featurizer mid-flight and the row
   // may be stale — refuse loudly rather than poison the cache.
@@ -79,13 +52,13 @@ void FeatureCache::Insert(uint64_t key, uint32_t version, const double* row) {
     slots_prev_ = std::move(slots_);
     rows_.Reset(dim_);
     slots_.clear();
-    generation_evictions_.fetch_add(1, std::memory_order_relaxed);
+    stats_.generation_evictions += 1;
   }
   slots_.emplace(key, rows_.rows());
   rows_.AddRow(std::span<const double>(row, dim_));
 }
 
-void FeatureCache::ClearLocked() {
+void FeatureCache::Clear() {
   slots_.clear();
   slots_prev_.clear();
   rows_.Reset(dim_);
@@ -93,16 +66,8 @@ void FeatureCache::ClearLocked() {
 }
 
 FeatureCacheStats FeatureCache::Stats() const {
-  FeatureCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.generation_evictions =
-      generation_evictions_.load(std::memory_order_relaxed);
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    stats.rows = slots_.size() + slots_prev_.size();
-  }
+  FeatureCacheStats stats = stats_;
+  stats.rows = slots_.size() + slots_prev_.size();
   return stats;
 }
 

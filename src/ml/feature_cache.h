@@ -1,19 +1,15 @@
 #ifndef LQO_ML_FEATURE_CACHE_H_
 #define LQO_ML_FEATURE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
 #include <unordered_map>
 
-#include "common/thread_annotations.h"
 #include "ml/dataset.h"
 
 namespace lqo {
 
-/// Counters of one FeatureCache since construction. Under concurrent access
-/// the hit/miss split may vary run to run (two threads can miss the same key
-/// simultaneously); hits + misses == number of Lookup() calls always holds.
+/// Counters of one FeatureCache since construction; hits + misses == number
+/// of Lookup() calls. `rows` is a gauge filled in by Stats().
 struct FeatureCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -35,12 +31,10 @@ struct FeatureCacheStats {
 /// version, so they can be computed once and served from here on every later
 /// epoch — and shared across optimizers that use the same featurizer.
 ///
-/// Locking protocol: Lookup() copies the row out under a shared lock (a
-/// span would dangle across eviction); a miss computes the row outside any
-/// lock and commits it via Insert() under an exclusive lock, first writer
-/// wins. Because rows are pure functions of the key, racing writers always
-/// carry identical rows, so cached results are bit-for-bit identical at any
-/// thread count.
+/// A FeatureCache is single-threaded: its callers (learned-optimizer
+/// planning and training, query-driven estimator training) are serial.
+/// Lookup() copies the row out (a span would dangle across a rotation); a
+/// miss computes the row and commits it via Insert().
 ///
 /// Invalidation: every call carries the featurizer's version stamp. A lookup
 /// with a version other than the resident one wholesale-clears the cache
@@ -51,10 +45,10 @@ struct FeatureCacheStats {
 /// Capacity policy: two generations (current + previous). When the current
 /// generation reaches `max_rows` it *rotates* — current becomes previous,
 /// the old previous is dropped, and a fresh current starts filling. Lookups
-/// fall through to the previous generation (no promotion, so hits stay on
-/// the shared-lock path), which means a retrain working set larger than
-/// max_rows keeps serving recent rows instead of thrashing through
-/// wholesale clears; total residency is bounded by 2 * max_rows. Rotations
+/// fall through to the previous generation (no promotion), which means a
+/// retrain working set larger than max_rows keeps serving recent rows
+/// instead of thrashing through wholesale clears; total residency is
+/// bounded by 2 * max_rows. Rotations
 /// are counted in generation_evictions, version-mismatch wholesale clears
 /// (which drop both generations) in evictions.
 class FeatureCache {
@@ -80,36 +74,26 @@ class FeatureCache {
   FeatureCacheStats Stats() const;
 
  private:
-  /// Wholesale-clears both generations (not counters). Caller holds mutex_
-  /// exclusively.
-  void ClearLocked() LQO_REQUIRES(mutex_);
+  /// Wholesale-clears both generations (not counters).
+  void Clear();
 
   const size_t dim_;
   const size_t max_rows_;
   /// Featurizer version the resident rows were computed under.
-  uint32_t version_ LQO_GUARDED_BY(mutex_) = 0;
+  uint32_t version_ = 0;
   /// Current-generation row storage; slots_ maps key -> row index. Rows are
-  /// append-only between rotations/clears, so an index handed out under the
-  /// lock stays valid until the next exclusive-lock rotation or clear.
-  FeatureMatrix rows_ LQO_GUARDED_BY(mutex_);
+  /// append-only between rotations/clears.
+  FeatureMatrix rows_;
   /// Previous generation: the last rotated-out row set, still servable.
-  FeatureMatrix rows_prev_ LQO_GUARDED_BY(mutex_);
+  FeatureMatrix rows_prev_;
   /// Keys are pre-mixed hashes; identity-hashing avoids a second pass.
   struct IdentityHash {
     size_t operator()(uint64_t h) const { return static_cast<size_t>(h); }
   };
-  std::unordered_map<uint64_t, size_t, IdentityHash> slots_
-      LQO_GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, size_t, IdentityHash> slots_prev_
-      LQO_GUARDED_BY(mutex_);
-  // guards: version_, rows_, rows_prev_, slots_, slots_prev_ — shared-lock
-  // reads (Lookup hit path), exclusive-lock inserts/rotations/clears; rows
-  // are computed outside any lock.
-  mutable std::shared_mutex mutex_;
-  std::atomic<uint64_t> hits_{0};    // relaxed: monotonic stat only
-  std::atomic<uint64_t> misses_{0};  // relaxed: monotonic stat only
-  std::atomic<uint64_t> evictions_{0};             // relaxed: monotonic stat
-  std::atomic<uint64_t> generation_evictions_{0};  // relaxed: monotonic stat
+  std::unordered_map<uint64_t, size_t, IdentityHash> slots_;
+  std::unordered_map<uint64_t, size_t, IdentityHash> slots_prev_;
+  /// Counters only; Stats() fills in `rows`.
+  FeatureCacheStats stats_;
 };
 
 }  // namespace lqo

@@ -72,7 +72,20 @@ PlanCacheLookup ServingFrontEnd::Lookup(uint64_t type) const {
 }
 
 StatusOr<PhysicalPlan> ServingFrontEnd::Plan(const Query& query) {
-  return producer_->Plan(query);
+  StatusOr<PhysicalPlan> planned = producer_->Plan(query);
+  if (!planned.ok()) return planned;
+  // A cached plan is served to every later binding of its type, so a bad
+  // producer plan is refused here, before it can be installed.
+  if (planned->root == nullptr) {
+    return Status::InvalidArgument(producer_->Name() +
+                                   " returned a plan without a root");
+  }
+  if (planned->root->table_set != query.AllTables()) {
+    return Status::InvalidArgument(
+        producer_->Name() + " returned a plan that misses tables of the query");
+  }
+  LQO_RETURN_IF_ERROR(ValidatePlanShape(*planned->root, query.num_tables()));
+  return planned;
 }
 
 bool ServingFrontEnd::Install(uint64_t type, uint32_t generation,

@@ -88,10 +88,11 @@ struct ServeResult {
 /// is planned and executed, nothing is cached — the denominator of the
 /// serving speedup gate.
 ///
-/// Thread safety: TypeOf/Lookup/Execute are safe from pool tasks; Plan is
-/// safe iff the producer says so; Install/Observe are cache-exclusive ops
-/// that phased callers (DriveSessions) apply in deterministic serial order.
-/// The one-shot Serve() is the serial convenience path (tests, warmup).
+/// Thread safety: TypeOf and Execute are safe from pool tasks; Plan is safe
+/// iff the producer says so. Lookup, Install and Observe reach the
+/// single-threaded PlanCache, so callers issue them serially (DriveSessions
+/// runs them in session order). The one-shot Serve() is the serial
+/// convenience path (tests, warmup).
 class ServingFrontEnd {
  public:
   /// All pointers are non-owning and must outlive the front end; `cache`
@@ -105,10 +106,13 @@ class ServingFrontEnd {
   /// Cache lookup for a type; a guaranteed miss in baseline mode.
   PlanCacheLookup Lookup(uint64_t type) const;
 
-  /// Plans with the producer (no caching, no execution).
+  /// Plans with the producer (no caching, no execution). Returns
+  /// InvalidArgument unless the plan has a root that covers every table of
+  /// `query` and passes ValidatePlanShape, so only well-formed plans reach
+  /// Install.
   StatusOr<PhysicalPlan> Plan(const Query& query);
 
-  /// First-writer-wins install of `plan` under the Lookup token
+  /// First-writer-wins install of `plan` (from Plan) under the Lookup token
   /// `generation`; the install-time estimate is taken from the plan root's
   /// estimated_cardinality annotation. Returns whether this call installed.
   /// No-op (false) in baseline mode.

@@ -1,7 +1,6 @@
 #include "serving/plan_cache.h"
 
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.h"
 
@@ -24,29 +23,25 @@ PlanCacheStats PlanCacheStats::operator-(const PlanCacheStats& other) const {
   return d;
 }
 
-PlanCacheLookup PlanCache::Lookup(uint64_t type) const {
-  Shard& shard = ShardOf(type);
+PlanCacheLookup PlanCache::Lookup(uint64_t type) {
   PlanCacheLookup result;
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    auto it = shard.entries.find(type);
-    if (it != shard.entries.end()) {
-      const TypeState& state = it->second;
-      result.always_optimize = state.always_optimize;
-      result.generation = state.generation;
-      if (state.root != nullptr && !state.always_optimize) {
-        result.hit = true;
-        result.root = state.root;
-        result.install_estimated_rows = state.install_estimated_rows;
-      }
+  auto it = entries_.find(type);
+  if (it != entries_.end()) {
+    const TypeState& state = it->second;
+    result.always_optimize = state.always_optimize;
+    result.generation = state.generation;
+    if (state.root != nullptr && !state.always_optimize) {
+      result.hit = true;
+      result.root = state.root;
+      result.install_estimated_rows = state.install_estimated_rows;
     }
   }
   if (result.hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    stats_.hits += 1;
   } else if (result.always_optimize) {
-    volatile_skips_.fetch_add(1, std::memory_order_relaxed);
+    stats_.volatile_skips += 1;
   } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    stats_.misses += 1;
   }
   return result;
 }
@@ -54,25 +49,22 @@ PlanCacheLookup PlanCache::Lookup(uint64_t type) const {
 bool PlanCache::TryInstall(uint64_t type, uint32_t generation,
                            const PhysicalPlan& plan, double estimated_rows) {
   LQO_CHECK(plan.root != nullptr) << "TryInstall of an empty plan";
-  Shard& shard = ShardOf(type);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  TypeState& state = shard.entries[type];
-  // The optimistic token from Lookup must still be current. A mismatch means
-  // the plan was produced against a generation that has since been
-  // invalidated — installing it would resurrect the evicted plan, so the
-  // install loses like any other race and the type stays uncached until the
-  // next miss re-plans it.
+  TypeState& state = entries_[type];
+  // The token from Lookup must still be current. A mismatch means the plan
+  // was produced against a generation that has since been invalidated —
+  // installing it would resurrect the evicted plan, so the install is
+  // refused and the type stays uncached until the next miss re-plans it.
   if (generation != state.generation) {
-    install_races_.fetch_add(1, std::memory_order_relaxed);
+    stats_.install_races += 1;
     return false;
   }
   if (state.always_optimize) {
-    // Demotion raced ahead of this planner; drop the plan, keep the demotion.
-    install_races_.fetch_add(1, std::memory_order_relaxed);
+    // Demoted since this plan was produced; drop the plan, keep the demotion.
+    stats_.install_races += 1;
     return false;
   }
   if (state.root != nullptr) {
-    install_races_.fetch_add(1, std::memory_order_relaxed);
+    stats_.install_races += 1;
     return false;  // first writer wins
   }
   state.root = std::shared_ptr<const PlanNode>(plan.root->Clone().release());
@@ -81,25 +73,23 @@ bool PlanCache::TryInstall(uint64_t type, uint32_t generation,
   state.window_time_sum = 0.0;
   state.window_high_qerror = 0;
   state.baseline_time = -1.0;
-  installs_.fetch_add(1, std::memory_order_relaxed);
+  stats_.installs += 1;
   return true;
 }
 
 PlanObserveOutcome PlanCache::Observe(uint64_t type, uint32_t generation,
                                       double observed_rows,
                                       double time_units) {
-  Shard& shard = ShardOf(type);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.entries.find(type);
-  if (it == shard.entries.end() || it->second.generation != generation ||
+  auto it = entries_.find(type);
+  if (it == entries_.end() || it->second.generation != generation ||
       it->second.root == nullptr || it->second.always_optimize) {
     // Feedback for a plan that is no longer resident (evicted, demoted, or
     // never installed): benign, drop it.
-    stale_feedback_.fetch_add(1, std::memory_order_relaxed);
+    stats_.stale_feedback += 1;
     return PlanObserveOutcome::kDropped;
   }
   TypeState& state = it->second;
-  observations_.fetch_add(1, std::memory_order_relaxed);
+  stats_.observations += 1;
 
   double qerror = 1.0;
   if (state.install_estimated_rows > 0.0) {
@@ -117,10 +107,10 @@ PlanObserveOutcome PlanCache::Observe(uint64_t type, uint32_t generation,
   if (state.window_count < kDriftWindow) {
     return PlanObserveOutcome::kKept;
   }
-  return ApplyPolicyLocked(&state);
+  return ApplyPolicy(&state);
 }
 
-PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
+PlanObserveOutcome PlanCache::ApplyPolicy(TypeState* state) {
   const double window = static_cast<double>(kDriftWindow);
   const double mean_time = state->window_time_sum / window;
   const int high_qerror = state->window_high_qerror;
@@ -141,7 +131,7 @@ PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
       state->always_optimize = true;
       state->root.reset();
       state->generation += 1;
-      demotions_.fetch_add(1, std::memory_order_relaxed);
+      stats_.demotions += 1;
       return PlanObserveOutcome::kDemoted;
     }
   }
@@ -166,22 +156,20 @@ PlanObserveOutcome PlanCache::ApplyPolicyLocked(TypeState* state) {
   state->install_estimated_rows = -1.0;
   state->baseline_time = -1.0;
   state->generation += 1;
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
+  stats_.invalidations += 1;
   if (state->reopt_count > kMaxReoptimizations) {
     // The type keeps invalidating whatever plan is installed: stop paying the
     // re-plan churn and pin it to always-optimize.
     state->always_optimize = true;
-    demotions_.fetch_add(1, std::memory_order_relaxed);
+    stats_.demotions += 1;
     return PlanObserveOutcome::kDemoted;
   }
   return PlanObserveOutcome::kInvalidated;
 }
 
 void PlanCache::Invalidate(uint64_t type) {
-  Shard& shard = ShardOf(type);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.entries.find(type);
-  if (it == shard.entries.end() || it->second.root == nullptr ||
+  auto it = entries_.find(type);
+  if (it == entries_.end() || it->second.root == nullptr ||
       it->second.always_optimize) {
     return;
   }
@@ -193,28 +181,16 @@ void PlanCache::Invalidate(uint64_t type) {
   state.window_high_qerror = 0;
   state.baseline_time = -1.0;
   state.generation += 1;
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
+  stats_.invalidations += 1;
 }
 
 PlanCacheStats PlanCache::Stats() const {
-  PlanCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.volatile_skips = volatile_skips_.load(std::memory_order_relaxed);
-  stats.installs = installs_.load(std::memory_order_relaxed);
-  stats.install_races = install_races_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
-  stats.demotions = demotions_.load(std::memory_order_relaxed);
-  stats.observations = observations_.load(std::memory_order_relaxed);
-  stats.stale_feedback = stale_feedback_.load(std::memory_order_relaxed);
-  for (size_t s = 0; s < kShards; ++s) {
-    std::shared_lock<std::shared_mutex> lock(shards_[s].mutex);
-    stats.entries += shards_[s].entries.size();
-    // lint: unordered-iter-ok(commutative count of resident plans)
-    for (const auto& [type, state] : shards_[s].entries) {
-      (void)type;
-      if (state.root != nullptr) stats.cached_plans += 1;
-    }
+  PlanCacheStats stats = stats_;
+  stats.entries = entries_.size();
+  // lint: unordered-iter-ok(commutative count of resident plans)
+  for (const auto& [type, state] : entries_) {
+    (void)type;
+    if (state.root != nullptr) stats.cached_plans += 1;
   }
   return stats;
 }

@@ -1,29 +1,22 @@
 #ifndef LQO_SERVING_PLAN_CACHE_H_
 #define LQO_SERVING_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "common/thread_annotations.h"
 #include "engine/plan.h"
 
 namespace lqo {
 
-/// Counters since construction. Under the phased serving protocol (lookups
-/// against a quiescent cache, ordered installs/observes — see ServingFrontEnd)
-/// every field is bit-deterministic across thread counts; under free-form
-/// concurrent use hits+misses+volatile_skips == Lookup() calls still holds.
+/// Counters since construction; hits + misses + volatile_skips == Lookup()
+/// calls. `entries` and `cached_plans` are gauges filled in by Stats().
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t volatile_skips = 0;  // lookups of demoted (always-optimize) types
   uint64_t installs = 0;
-  uint64_t install_races = 0;  // TryInstall lost (writer, demotion, stale)
+  uint64_t install_races = 0;  // TryInstall refused (resident, demoted, stale)
   uint64_t invalidations = 0;  // drift-triggered generation bumps
   uint64_t demotions = 0;      // types demoted to always-optimize
   uint64_t observations = 0;   // feedback folds accepted
@@ -35,9 +28,9 @@ struct PlanCacheStats {
 };
 
 /// Outcome of one cache lookup. `generation` must be echoed into TryInstall
-/// and Observe: it is the optimistic-concurrency token that makes a stale
-/// install (planned against a generation that has since been invalidated)
-/// detectable, so TryInstall can refuse it.
+/// and Observe: it is the token that makes a stale install (planned against
+/// a generation that has since been invalidated) detectable, so TryInstall
+/// can refuse it.
 struct PlanCacheLookup {
   bool hit = false;
   /// Demoted type: the caller must optimize and must NOT install.
@@ -63,25 +56,23 @@ enum class PlanObserveOutcome {
 /// optimization into amortized throughput. Keyed by structural query type
 /// (QueryTypeHash — same type iff queries differ only in constants, the aqo
 /// typing strategy), it stores one immutable plan tree per type and serves
-/// it to every later binding of that type.
+/// it to every later binding of that type. Plan trees are handed out as
+/// shared_ptrs to immutable node trees, so a looked-up plan stays valid
+/// after its type is invalidated.
 ///
-/// Concurrency: sharded by type hash; each shard is a shared-lock map.
-/// Lookup is a pure read under the shard's shared lock (the plan tree is
-/// handed out as a shared_ptr to an immutable node tree, so it stays valid
-/// across invalidation). TryInstall/Observe take the shard's exclusive lock.
-/// First writer wins on install; racing installers of the same (type,
-/// generation), and installers holding a stale generation, lose gracefully
-/// (install_races).
+/// A PlanCache is single-threaded: callers serialize every call, as
+/// DriveSessions does by running its lookups, installs and observes in
+/// session order.
 ///
 /// Generations: every entry carries a generation counter bumped on each
 /// invalidation. Lookup returns the generation; TryInstall refuses a stale
 /// one and returns false — installing a plan that was produced against an
 /// already-invalidated generation would resurrect exactly the plan the
-/// drift detector (or an Invalidate call) evicted. Invalidate is public and
-/// the cache serves concurrent callers, so an invalidation landing between
-/// one caller's Lookup and its TryInstall is an ordinary race, counted in
-/// install_races. Observe with a stale generation is the same case for
-/// feedback (a plan no longer resident) and is dropped.
+/// drift detector (or an Invalidate call) evicted. First writer wins: a
+/// second install of the same (type, generation), an install for a demoted
+/// type and a stale install are all refused and counted in install_races.
+/// Observe with a stale generation is the same case for feedback (a plan no
+/// longer resident) and is dropped.
 ///
 /// Learned invalidation: Observe folds (observed rows, latency) per type and
 /// every kDriftWindow observations takes a majority vote of per-observation
@@ -92,17 +83,11 @@ enum class PlanObserveOutcome {
 /// kSensitivityCv (parameter-sensitive: no single plan fits all bindings),
 /// are demoted to always-optimize (kDemoted, sticky).
 ///
-/// Determinism: plans are pure functions of (producer, type, binding), so a
-/// lost install race installs a plan identical in role; stats and drift
-/// decisions are bit-deterministic when lookups run against a quiescent
-/// cache and installs/observes are applied in a deterministic order — the
-/// phased protocol ServingFrontEnd/DriveSessions implement (DESIGN.md
-/// "Serving path").
+/// Determinism: stats and drift decisions are pure functions of the call
+/// sequence, so a caller that issues its calls in a fixed order (DESIGN.md
+/// "Serving path") gets bit-identical results at any thread count.
 class PlanCache {
  public:
-  /// Shard count (power of two). Lookups take one shard's shared lock, so
-  /// unrelated types never contend.
-  static constexpr size_t kShards = 16;
   /// Observations folded per drift check. Smaller reacts faster; larger is
   /// more robust to a single outlier binding.
   static constexpr int kDriftWindow = 8;
@@ -126,17 +111,17 @@ class PlanCache {
   /// caching any single plan is a tail-latency hazard.
   static constexpr double kSensitivityCv = 2.0;
 
-  /// Classifies `type`'s cache state. Pure read (shared lock); never
-  /// creates an entry.
-  PlanCacheLookup Lookup(uint64_t type) const;
+  /// Classifies `type`'s cache state and counts the outcome; never creates
+  /// an entry.
+  PlanCacheLookup Lookup(uint64_t type);
 
-  /// Installs `plan`'s tree for `type` under optimistic token `generation`
-  /// (from Lookup). First writer wins: returns true when this call
-  /// installed, false when a plan was already resident, the type was
-  /// demoted, or `generation` is stale (all counted in install_races; the
-  /// type keeps its state). `estimated_rows` is the planner's estimate of
-  /// the result cardinality (<= 0 when unavailable; drift checks then use
-  /// latency only).
+  /// Installs `plan`'s tree for `type` under token `generation` (from
+  /// Lookup); `plan.root` must be non-null. First writer wins: returns true
+  /// when this call installed, false when a plan was already resident, the
+  /// type was demoted, or `generation` is stale (all counted in
+  /// install_races; the type keeps its state). `estimated_rows` is the
+  /// planner's estimate of the result cardinality (<= 0 when unavailable;
+  /// drift checks then use latency only).
   bool TryInstall(uint64_t type, uint32_t generation, const PhysicalPlan& plan,
                   double estimated_rows);
 
@@ -172,36 +157,12 @@ class PlanCache {
     double time_sq_sum = 0.0;
   };
 
-  struct Shard {
-    // guards: entries — shared-lock reads (Lookup), exclusive-lock
-    // installs/observes/invalidations. Plan trees are immutable and handed
-    // out by shared_ptr, so they outlive any entry mutation.
-    mutable std::shared_mutex mutex;
-    std::unordered_map<uint64_t, TypeState> entries LQO_GUARDED_BY(mutex);
-  };
+  /// Applies the drift/sensitivity policy after a window completes.
+  PlanObserveOutcome ApplyPolicy(TypeState* state);
 
-  Shard& ShardOf(uint64_t type) const {
-    return shards_[static_cast<size_t>(type) & (kShards - 1)];
-  }
-
-  /// Applies the drift/sensitivity policy after a fold. Caller holds the
-  /// shard lock exclusively.
-  PlanObserveOutcome ApplyPolicyLocked(TypeState* state);
-
-  static_assert((kShards & (kShards - 1)) == 0 && kShards > 0,
-                "PlanCache shard count must be a power of two");
-  /// Shards are constructed once and never resized; only entry maps mutate.
-  const std::unique_ptr<Shard[]> shards_{new Shard[kShards]};
-  // Lookup is logically const; its outcome counters are mutable.
-  mutable std::atomic<uint64_t> hits_{0};    // relaxed: monotonic stat only
-  mutable std::atomic<uint64_t> misses_{0};  // relaxed: monotonic stat only
-  mutable std::atomic<uint64_t> volatile_skips_{0};  // relaxed: monotonic stat
-  std::atomic<uint64_t> installs_{0};        // relaxed: monotonic stat only
-  std::atomic<uint64_t> install_races_{0};   // relaxed: monotonic stat only
-  std::atomic<uint64_t> invalidations_{0};   // relaxed: monotonic stat only
-  std::atomic<uint64_t> demotions_{0};       // relaxed: monotonic stat only
-  std::atomic<uint64_t> observations_{0};    // relaxed: monotonic stat only
-  std::atomic<uint64_t> stale_feedback_{0};  // relaxed: monotonic stat only
+  std::unordered_map<uint64_t, TypeState> entries_;
+  /// Counters only; Stats() fills in the gauges.
+  PlanCacheStats stats_;
 };
 
 /// Binds a cached plan tree to a concrete parameter binding: clones the

@@ -111,13 +111,14 @@ StatusOr<SessionReport> DriveSessions(ServingFrontEnd& front_end,
     for (Slot& slot : slots) slot = Slot{};
     const Query* round_queries = &queries[r * sessions];
 
-    // Phase A: classify + look up, in parallel against the quiescent cache
-    // (Lookup is a pure read; only atomic counters move, and their totals
-    // are order-independent).
+    // Phase A: classify in parallel, then look up serially in session order
+    // against the quiescent cache (a PlanCache is single-threaded).
     ParallelFor(sessions, [&](size_t s) {
       slots[s].type = front_end.TypeOf(round_queries[s]);
-      slots[s].lookup = front_end.Lookup(slots[s].type);
     });
+    for (size_t s = 0; s < sessions; ++s) {
+      slots[s].lookup = front_end.Lookup(slots[s].type);
+    }
 
     // Phase B: plan the misses. Parallel only when the producer allows it;
     // learned producers mutate internal state and plan serially in session

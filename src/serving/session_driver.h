@@ -83,8 +83,9 @@ std::vector<Query> BuildSessionQueries(const Catalog& catalog,
 /// ThreadPool.
 ///
 /// Each round runs in phases so real concurrency and bit-determinism
-/// coexist (DESIGN.md "Serving path"): (A) all sessions classify + look up
-/// in parallel against the quiescent cache; (B) missed sessions plan — in
+/// coexist (DESIGN.md "Serving path"): (A) all sessions classify in
+/// parallel, then look up serially in session order against the quiescent
+/// cache; (B) missed sessions plan — in
 /// parallel when the producer is thread-safe, else serially in session
 /// order; (C) plans install first-writer-wins serially in session order;
 /// (D) all sessions bind + execute in parallel; (E) feedback folds into the
@@ -92,7 +93,8 @@ std::vector<Query> BuildSessionQueries(const Catalog& catalog,
 /// per-query results. Stats, invalidations, demotions and the fingerprint
 /// are therefore identical at any LQO_THREADS.
 ///
-/// A producer error in (B) or an executor error in (D) ends the replay
+/// A producer error in (B), including a plan ServingFrontEnd::Plan refuses,
+/// or an executor error in (D) ends the replay
 /// after that phase with the error of the first failing session in session
 /// order, so the returned Status is the same at any LQO_THREADS.
 StatusOr<SessionReport> DriveSessions(ServingFrontEnd& front_end,

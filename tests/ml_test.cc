@@ -694,28 +694,6 @@ TEST(FeatureCacheTest, WorkingSetLargerThanMaxRowsStopsThrashing) {
   EXPECT_GE(stats.generation_evictions, 1u);
 }
 
-TEST(FeatureCacheTest, ConcurrentMixedLookupInsertIsConsistent) {
-  FeatureCache cache(2);
-  const size_t kKeys = 256;
-  ThreadPool::SetGlobalThreads(8);
-  // Every task lookup-or-computes its key's row twice; with first-writer-
-  // wins semantics every served row must equal the key's canonical row.
-  std::vector<double> errors = ParallelMap(kKeys * 2, [&](size_t i) {
-    uint64_t key = i % kKeys;
-    std::vector<double> want = {static_cast<double>(key),
-                                static_cast<double>(key) * 0.5};
-    std::vector<double> got(2, 0.0);
-    if (!cache.Lookup(key, 1, got.data())) {
-      cache.Insert(key, 1, want.data());
-      if (!cache.Lookup(key, 1, got.data())) return 1.0;
-    }
-    return got == want ? 0.0 : 1.0;
-  });
-  ThreadPool::SetGlobalThreads(ThreadPool::ParseThreadCount(nullptr));
-  for (double e : errors) EXPECT_EQ(e, 0.0);
-  EXPECT_EQ(cache.Stats().rows, kKeys);
-}
-
 TEST(FeatureCacheDeathTest, InsertUnderStaleVersionDies) {
   FeatureCache cache(1);
   double value = 3.0;

@@ -1,6 +1,8 @@
 // Serving-layer contracts: query typing (same hash iff constants-only
 // differences), the plan-cache generation protocol, learned invalidation
-// and demotion, and thread-count invariance of the session driver.
+// and demotion, producer-plan checks before install, the producer-free hit
+// path, and thread-count invariance of the session driver.
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -470,6 +472,131 @@ TEST_F(ServingTest, SessionDriverReturnsProducerError) {
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kInternal);
   EXPECT_EQ(replay.status().message(), "producer failed");
+}
+
+// Wraps the native producer, optionally damaging each plan it returns, and
+// counts its calls.
+class FakeProducer : public PlanProducer {
+ public:
+  enum class Damage { kNone, kEmpty, kPartial, kOverlappingChildren };
+
+  FakeProducer(const E2eContext* context, Damage damage)
+      : inner_(context), damage_(damage) {}
+
+  StatusOr<PhysicalPlan> Plan(const Query& query) override {
+    ++calls;
+    StatusOr<PhysicalPlan> planned = inner_.Plan(query);
+    if (!planned.ok()) return planned;
+    PlanNode& root = *planned->root;
+    switch (damage_) {
+      case Damage::kNone:
+        break;
+      case Damage::kEmpty:
+        planned->root.reset();
+        break;
+      case Damage::kPartial:
+        // A subtree of the plan: it misses at least one table of the query.
+        planned->root = std::move(root.left);
+        break;
+      case Damage::kOverlappingChildren:
+        // The root still claims every table, but both inputs are the same
+        // subtree.
+        root.right = root.left->Clone();
+        break;
+    }
+    return planned;
+  }
+  std::string Name() const override { return "fake"; }
+
+  uint64_t calls = 0;
+
+ private:
+  NativePlanProducer inner_;
+  Damage damage_;
+};
+
+// A plan the producer returns is checked before it can reach the cache: an
+// empty root, a root that misses tables and a malformed tree are refused
+// with InvalidArgument by Serve and by DriveSessions, and nothing installs.
+TEST_F(ServingTest, MalformedProducerPlansNeverReachTheCache) {
+  SessionDriverOptions sopts;
+  sopts.sessions = 4;
+  sopts.rounds = 2;
+  sopts.seed = 41;
+  const std::vector<Query> queries =
+      BuildSessionQueries(lab_->catalog, templates_, sopts);
+  for (FakeProducer::Damage damage :
+       {FakeProducer::Damage::kEmpty, FakeProducer::Damage::kPartial,
+        FakeProducer::Damage::kOverlappingChildren}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    FakeProducer producer(&context_, damage);
+    PlanCache cache;
+    ServingFrontEnd front_end(&cache, &producer, lab_->executor.get());
+
+    StatusOr<ServeResult> served = front_end.Serve(templates_[0]);
+    ASSERT_FALSE(served.ok());
+    EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+
+    StatusOr<SessionReport> replay = DriveSessions(front_end, queries, sopts);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+
+    EXPECT_EQ(cache.Stats().installs, 0u);
+    EXPECT_EQ(cache.Stats().cached_plans, 0u);
+  }
+}
+
+// A cache hit never calls the producer: every producer call is a miss or a
+// lookup of a demoted type, over Serve and over a replay with drift and
+// parameter-sensitive templates.
+TEST_F(ServingTest, CacheHitsNeverCallTheProducer) {
+  FakeProducer producer(&context_, FakeProducer::Damage::kNone);
+  PlanCache cache;
+  ServingFrontEnd front_end(&cache, &producer, lab_->executor.get());
+
+  PlanCacheStats before = cache.Stats();
+  Rng rng(17);
+  for (int i = 0; i < 12; ++i) {
+    const Query& t = templates_[static_cast<size_t>(i) % templates_.size()];
+    ASSERT_TRUE(front_end.Serve(ResampleConstants(lab_->catalog, t, rng, 1.0))
+                    .ok());
+  }
+  PlanCacheStats delta = cache.Stats() - before;
+  EXPECT_GT(delta.hits, 0u);
+  EXPECT_EQ(producer.calls, delta.misses + delta.volatile_skips);
+
+  // Demote the first template's type (flat latency, then one spike: CV far
+  // above kSensitivityCv), so the replay also plans for volatile skips.
+  const uint64_t demoted = front_end.TypeOf(templates_[0]);
+  const PlanCacheLookup resident = cache.Lookup(demoted);
+  ASSERT_TRUE(resident.hit);
+  const double rows = std::max(resident.install_estimated_rows, 1.0);
+  for (int i = 0; i < PlanCache::kSensitivityMinObservations; ++i) {
+    const bool last = i + 1 == PlanCache::kSensitivityMinObservations;
+    cache.Observe(demoted, resident.generation, rows, last ? 1000.0 : 1.0);
+  }
+  ASSERT_TRUE(cache.Lookup(demoted).always_optimize);
+
+  SessionDriverOptions sopts;
+  sopts.sessions = 8;
+  sopts.rounds = 12;
+  sopts.seed = 43;
+  sopts.drift_round = 6;
+  sopts.sensitive_fraction = 0.2;
+  const std::vector<Query> queries =
+      BuildSessionQueries(lab_->catalog, templates_, sopts);
+  producer.calls = 0;
+  before = cache.Stats();
+  StatusOr<SessionReport> replay = DriveSessions(front_end, queries, sopts);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  delta = cache.Stats() - before;
+  EXPECT_GT(delta.hits, 0u);
+  EXPECT_EQ(producer.calls, delta.misses + delta.volatile_skips);
+  EXPECT_EQ(producer.calls, replay->planned);
+  EXPECT_EQ(replay->cache_hits, delta.hits);
+  // The replay re-plans after drift and plans the demoted type every time.
+  EXPECT_GT(delta.invalidations, 0u);
+  EXPECT_GT(delta.volatile_skips, 0u);
 }
 
 }  // namespace

@@ -15,9 +15,8 @@
 namespace lqo {
 namespace {
 
-// An annotated toy mirroring the real shapes in the tree: ThreadPool's
-// queue (LQO_GUARDED_BY + LQO_EXCLUDES) and FeatureCache's row store
-// (shared_mutex with guarded map).
+// An annotated toy mirroring the real shape in the tree: ThreadPool's
+// queue (LQO_GUARDED_BY + LQO_EXCLUDES).
 class AnnotatedCounter {
  public:
   void Add(int delta) LQO_EXCLUDES(mutex_) {
