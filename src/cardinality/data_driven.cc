@@ -185,16 +185,6 @@ void DataDrivenEstimator::Build() {
   built_ = true;
 }
 
-const SingleTableDistribution& DataDrivenEstimator::ModelOf(
-    const std::string& table) const {
-  LQO_CHECK(built_);
-  return *models_.at(table);
-}
-
-TableModelKind DataDrivenEstimator::KindOf(const std::string& table) const {
-  return kind_of_table_.at(table);
-}
-
 double DataDrivenEstimator::EstimateSubquery(const Subquery& subquery) {
   LQO_CHECK(built_) << name_ << " used before Build()";
   const Query& query = *subquery.query;

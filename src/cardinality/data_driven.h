@@ -59,8 +59,6 @@ class DataDrivenEstimator : public CardinalityEstimatorInterface {
   std::string Name() const override { return name_; }
 
   bool built() const { return built_; }
-  const SingleTableDistribution& ModelOf(const std::string& table) const;
-  TableModelKind KindOf(const std::string& table) const;
 
  private:
   struct SchemaKeyGroup {

@@ -112,49 +112,54 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     return;
   }
 
+  // The caller and up to N-1 helper tasks claim chunks from one shared
+  // counter, so an N-thread pool runs the loop on N threads, and the caller
+  // alone finishes it when every worker is busy elsewhere. A helper that
+  // starts after the last chunk was claimed touches only the shared_ptr-owned
+  // state, never `fn`: the caller may already have returned.
   size_t num_chunks =
       std::min(n, static_cast<size_t>(pool->num_threads()) * 4);
   struct State {
-    std::mutex mutex;  // guards: remaining (chunk-completion handshake)
+    explicit State(size_t chunks) : errors(chunks) {}
+    // The next unclaimed chunk: each fetch_add hands out a distinct index.
+    // A chunk's writes reach the caller through `mutex`, not through it.
+    std::atomic<size_t> next_chunk{0};
+    std::mutex mutex;  // guards: finished (chunk-completion handshake)
     std::condition_variable done;
-    size_t remaining;
+    size_t finished = 0;
     std::vector<std::exception_ptr> errors;
   };
-  State state;
-  state.remaining = num_chunks;
-  state.errors.assign(num_chunks, nullptr);
+  auto state = std::make_shared<State>(num_chunks);
+  const std::function<void(size_t)>* body = &fn;
 
-  auto run_chunk = [&](size_t chunk) {
-    size_t begin = chunk * n / num_chunks;
-    size_t end = (chunk + 1) * n / num_chunks;
-    try {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    } catch (...) {
-      state.errors[chunk] = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      --state.remaining;
-      // Notify while holding the lock: the waiting caller destroys `state`
-      // as soon as it observes remaining == 0, so notifying after unlock
-      // could touch a dead condition variable.
-      state.done.notify_one();
+  // Runs chunks until none is left unclaimed.
+  auto claim_chunks = [state, body, n, num_chunks] {
+    for (;;) {
+      size_t chunk = state->next_chunk.fetch_add(1);
+      if (chunk >= num_chunks) return;
+      size_t begin = chunk * n / num_chunks;
+      size_t end = (chunk + 1) * n / num_chunks;
+      try {
+        for (size_t i = begin; i < end; ++i) (*body)(i);
+      } catch (...) {
+        state->errors[chunk] = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(state->mutex);
+      if (++state->finished == num_chunks) state->done.notify_one();
     }
   };
 
-  // The calling thread takes chunk 0 itself so an N-thread pool really uses
-  // N threads (N-1 workers + caller).
-  for (size_t c = 1; c < num_chunks; ++c) {
-    pool->Submit([&, c] { run_chunk(c); });
-  }
-  run_chunk(0);
+  size_t helpers =
+      std::min(static_cast<size_t>(pool->num_threads() - 1), num_chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) pool->Submit(claim_chunks);
+  claim_chunks();
   {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.done.wait(lock, [&] { return state.remaining == 0; });
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done.wait(lock, [&] { return state->finished == num_chunks; });
   }
   // Deterministic error choice: first failing chunk wins, independent of
   // scheduling order.
-  for (const std::exception_ptr& error : state.errors) {
+  for (const std::exception_ptr& error : state->errors) {
     if (error != nullptr) std::rethrow_exception(error);
   }
 }

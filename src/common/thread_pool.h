@@ -71,7 +71,10 @@ class ThreadPool {
 };
 
 /// Runs fn(0), ..., fn(n-1), partitioned over the pool, and blocks until all
-/// complete. Exceptions thrown by tasks are captured and the one from the
+/// complete. The calling thread and the pool's workers claim chunks of the
+/// index range from one shared counter, so an N-thread pool uses up to N
+/// threads, and the caller finishes the loop alone when every worker is
+/// busy. Exceptions thrown by tasks are captured and the one from the
 /// lowest-indexed chunk is rethrown on the calling thread (a deterministic
 /// choice). Runs inline (serially) when the pool has one thread, when n <= 1,
 /// or when called from inside a worker (nesting).

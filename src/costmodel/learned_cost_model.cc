@@ -120,21 +120,6 @@ double LearnedPlanCostModel::PredictFromFeatures(
   return std::exp(log_time) - 1.0;
 }
 
-void LearnedPlanCostModel::PredictTimeBatch(const FeatureMatrix& x,
-                                            std::span<double> out) const {
-  LQO_CHECK(trained_);
-  LQO_CHECK_EQ(x.rows(), out.size());
-  if (type_ == ModelType::kGbdt) {
-    gbdt_.PredictBatch(x, out);
-  } else {
-    mlp_.PredictBatch(x, out);
-  }
-  for (size_t i = 0; i < out.size(); ++i) {
-    double log_time = std::clamp(out[i], 0.0, 50.0);
-    out[i] = std::exp(log_time) - 1.0;
-  }
-}
-
 double LearnedPlanCostModel::PredictTime(const PhysicalPlan& plan) const {
   return PredictFromFeatures(PlanFeaturizer::Featurize(plan));
 }

@@ -2,7 +2,6 @@
 #define LQO_COSTMODEL_LEARNED_COST_MODEL_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,10 +42,6 @@ class LearnedPlanCostModel {
   /// Predicted time units for an annotated plan.
   double PredictTime(const PhysicalPlan& plan) const;
   double PredictFromFeatures(const std::vector<double>& features) const;
-
-  /// Batch PredictFromFeatures over all rows of `x`: one batched model
-  /// pass plus the scalar clamp/exp per row — bit-identical results.
-  void PredictTimeBatch(const FeatureMatrix& x, std::span<double> out) const;
 
   /// Batched-inference counters of the underlying model.
   InferenceStatsSnapshot InferenceStats() const {

@@ -30,20 +30,20 @@ CardinalityProvider::CardinalityProvider(CardinalityProvider* base,
 void CardinalityProvider::InjectOverride(const std::string& key,
                                          double cardinality) {
   overrides_[key] = cardinality;
-  cache_.clear();
+  ClearMemo();
 }
 
 void CardinalityProvider::SetScale(double factor, int min_tables) {
   scale_factor_ = factor;
   scale_min_tables_ = min_tables;
-  cache_.clear();
+  ClearMemo();
 }
 
 void CardinalityProvider::ClearOverrides() {
   overrides_.clear();
   scale_factor_ = 1.0;
   scale_min_tables_ = 0;
-  cache_.clear();
+  ClearMemo();
 }
 
 double CardinalityProvider::Scaled(TableSet tables, double value) const {
@@ -111,15 +111,45 @@ void CardinalityProvider::ComputeBatch(const Query& query,
   }
 }
 
+void CardinalityProvider::ReserveMemo(size_t more) {
+  size_t needed = 2 * (memo_size_ + more);
+  if (needed <= memo_.size()) return;
+  size_t capacity = std::max<size_t>(memo_.size(), 64);
+  while (capacity < needed) capacity *= 2;
+  std::vector<MemoSlot> old = std::move(memo_);
+  memo_.assign(capacity, MemoSlot{});
+  for (const MemoSlot& slot : old) {
+    if (slot.used) memo_[FindSlot(slot.key)] = slot;
+  }
+}
+
+size_t CardinalityProvider::FindSlot(uint64_t key) const {
+  size_t mask = memo_.size() - 1;
+  for (size_t slot = static_cast<size_t>(key) & mask;;
+       slot = (slot + 1) & mask) {
+    if (!memo_[slot].used || memo_[slot].key == key) return slot;
+  }
+}
+
+void CardinalityProvider::ClearMemo() {
+  std::fill(memo_.begin(), memo_.end(), MemoSlot{});
+  memo_size_ = 0;
+}
+
 double CardinalityProvider::Raw(const Subquery& subquery) {
   uint64_t hash = subquery.KeyHash();
-  if (auto cached = cache_.find(hash); cached != cache_.end()) {
+  ReserveMemo(1);
+  size_t slot = FindSlot(hash);
+  if (memo_[slot].used) {
     ++hits_;
-    return cached->second;
+    return memo_[slot].value;
   }
   ++misses_;
+  // Compute() reaches only the base view's memo, never this one, so the
+  // slot found above is still the key's.
   double value = Compute(subquery);
-  cache_[hash] = value;
+  memo_[slot] = {hash, value, true};
+  ++memo_size_;
   return value;
 }
 
@@ -127,30 +157,36 @@ void CardinalityProvider::RawBatch(const Query& query,
                                    const std::vector<TableSet>& sets,
                                    std::vector<double>* out) {
   // Every subset gets its memo slot now: a hit finds the stored value, a
-  // miss inserts a slot that the batch below fills. A subset that repeats
+  // miss claims a slot that the batch below fills. A subset that repeats
   // within the batch (equal keys, as in a self-join) finds the slot of its
   // first occurrence and counts as a hit, as it would in scalar order.
-  // Map nodes never move, so the slot pointers survive later inserts.
+  // The memo has room for every subset, so no slot moves until the end.
+  ReserveMemo(sets.size());
   KeyHashParts hashes(query);
-  std::vector<double*> slots(sets.size());
+  std::vector<size_t> slots(sets.size());
   std::vector<TableSet> missed;
-  std::vector<double*> missed_slots;
+  std::vector<size_t> missed_slots;
   for (size_t i = 0; i < sets.size(); ++i) {
-    auto [it, inserted] = cache_.try_emplace(hashes.Of(sets[i]), 0.0);
-    slots[i] = &it->second;
-    if (inserted) {
+    uint64_t hash = hashes.Of(sets[i]);
+    slots[i] = FindSlot(hash);
+    MemoSlot& slot = memo_[slots[i]];
+    if (slot.used) {
+      ++hits_;
+    } else {
       ++misses_;
+      slot = {hash, 0.0, true};
+      ++memo_size_;
       missed.push_back(sets[i]);
       missed_slots.push_back(slots[i]);
-    } else {
-      ++hits_;
     }
   }
   std::vector<double> computed;
   ComputeBatch(query, missed, &computed);
-  for (size_t k = 0; k < missed.size(); ++k) *missed_slots[k] = computed[k];
+  for (size_t k = 0; k < missed.size(); ++k) {
+    memo_[missed_slots[k]].value = computed[k];
+  }
   out->resize(sets.size());
-  for (size_t i = 0; i < sets.size(); ++i) (*out)[i] = *slots[i];
+  for (size_t i = 0; i < sets.size(); ++i) (*out)[i] = memo_[slots[i]].value;
 }
 
 double CardinalityProvider::Cardinality(const Subquery& subquery) {

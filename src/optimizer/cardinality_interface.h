@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "query/query.h"
@@ -127,12 +126,24 @@ class CardinalityProvider {
   std::map<std::string, double> overrides_;
   double scale_factor_ = 1.0;
   int scale_min_tables_ = 0;
-  /// KeyHash() is already well mixed; identity-hashing it avoids a second
-  /// mixing pass inside the map.
-  struct IdentityHash {
-    size_t operator()(uint64_t h) const { return static_cast<size_t>(h); }
+  /// Memo of raw estimates by Subquery::KeyHash(): one open-addressing
+  /// table, at most half full, that grows only before a lookup or a batch
+  /// starts. A batch therefore never allocates per entry and never rehashes
+  /// midway, so the slot indices it holds stay valid. KeyHash() is already
+  /// well mixed, so its low bits pick the home slot.
+  struct MemoSlot {
+    uint64_t key = 0;
+    double value = 0.0;
+    bool used = false;
   };
-  std::unordered_map<uint64_t, double, IdentityHash> cache_;
+  /// Grows the memo so that `more` new keys fit without a rehash.
+  void ReserveMemo(size_t more);
+  /// The slot holding `key`, or the empty slot where it belongs.
+  size_t FindSlot(uint64_t key) const;
+  void ClearMemo();
+
+  std::vector<MemoSlot> memo_;
+  size_t memo_size_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -1,15 +1,8 @@
 #include "optimizer/cost_model.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace lqo {
-namespace {
-
-double Log2Rows(double rows) { return std::log2(std::max(rows, 2.0)); }
-
-}  // namespace
 
 double AnalyticalCostModel::ScanCost(double table_rows,
                                      int num_predicates) const {
@@ -21,21 +14,13 @@ double AnalyticalCostModel::ScanCost(double table_rows,
 double AnalyticalCostModel::JoinCost(JoinAlgorithm algorithm,
                                      double left_rows, double right_rows,
                                      double output_rows) const {
-  switch (algorithm) {
-    case JoinAlgorithm::kHashJoin:
-      return right_rows * constants_.hash_build_row +
-             left_rows * constants_.hash_probe_row +
-             output_rows * constants_.output_row;
-    case JoinAlgorithm::kNestedLoopJoin:
-      return left_rows * right_rows * constants_.nlj_pair +
-             output_rows * constants_.output_row;
-    case JoinAlgorithm::kMergeJoin:
-      return left_rows * Log2Rows(left_rows) * constants_.sort_row_log +
-             right_rows * Log2Rows(right_rows) * constants_.sort_row_log +
-             (left_rows + right_rows) * constants_.merge_row +
-             output_rows * constants_.output_row;
+  // Only the merge join reads the sort terms.
+  if (algorithm != JoinAlgorithm::kMergeJoin) {
+    return JoinCost(algorithm, JoinInput{left_rows}, JoinInput{right_rows},
+                    output_rows);
   }
-  return 0.0;
+  return JoinCost(algorithm, Input(left_rows), Input(right_rows),
+                  output_rows);
 }
 
 double AnalyticalCostModel::PlanCost(PhysicalPlan* plan,

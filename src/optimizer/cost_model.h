@@ -1,6 +1,9 @@
 #ifndef LQO_OPTIMIZER_COST_MODEL_H_
 #define LQO_OPTIMIZER_COST_MODEL_H_
 
+#include <algorithm>
+#include <cmath>
+
 #include "engine/cost_constants.h"
 #include "engine/plan.h"
 #include "optimizer/cardinality_interface.h"
@@ -22,6 +25,14 @@ class CostModelInterface {
   virtual std::string Name() const = 0;
 };
 
+/// One input of a join as the join formulas read it: its row count and its
+/// merge-join sort term, rows * log2(max(rows, 2)) * sort_row_log, which
+/// depends on that input alone. AnalyticalCostModel::Input() builds it.
+struct JoinInput {
+  double rows = 0.0;
+  double sort = 0.0;
+};
+
 /// The native analytical cost model: linear per-operator formulas using the
 /// shared CostConstants, with *no knowledge* of the executor's skew, cache
 /// and spill effects. Its error relative to true time units is structural,
@@ -40,6 +51,32 @@ class AnalyticalCostModel : public CostModelInterface {
   double ScanCost(double table_rows, int num_predicates) const;
   double JoinCost(JoinAlgorithm algorithm, double left_rows,
                   double right_rows, double output_rows) const;
+
+  /// The join formulas over inputs whose terms are computed once: the DP
+  /// planner keeps one JoinInput per connected subset and costs every split
+  /// of it through this overload. The four-argument JoinCost() above is
+  /// this overload over Input(left_rows) and Input(right_rows), bit for bit.
+  JoinInput Input(double rows) const {
+    return {rows,
+            rows * std::log2(std::max(rows, 2.0)) * constants_.sort_row_log};
+  }
+  double JoinCost(JoinAlgorithm algorithm, const JoinInput& left,
+                  const JoinInput& right, double output_rows) const {
+    switch (algorithm) {
+      case JoinAlgorithm::kHashJoin:
+        return right.rows * constants_.hash_build_row +
+               left.rows * constants_.hash_probe_row +
+               output_rows * constants_.output_row;
+      case JoinAlgorithm::kNestedLoopJoin:
+        return left.rows * right.rows * constants_.nlj_pair +
+               output_rows * constants_.output_row;
+      case JoinAlgorithm::kMergeJoin:
+        return left.sort + right.sort +
+               (left.rows + right.rows) * constants_.merge_row +
+               output_rows * constants_.output_row;
+    }
+    return 0.0;
+  }
 
   const CostConstants& constants() const { return constants_; }
 

@@ -8,15 +8,14 @@
 
 namespace lqo {
 
-std::vector<JoinAlgorithm> HintSet::AllowedAlgorithms() const {
-  std::vector<JoinAlgorithm> allowed;
-  if (enable_hash_join) allowed.push_back(JoinAlgorithm::kHashJoin);
-  if (enable_nested_loop) allowed.push_back(JoinAlgorithm::kNestedLoopJoin);
-  if (enable_merge_join) allowed.push_back(JoinAlgorithm::kMergeJoin);
-  if (allowed.empty()) {
-    allowed = {JoinAlgorithm::kHashJoin, JoinAlgorithm::kNestedLoopJoin,
-               JoinAlgorithm::kMergeJoin};
+JoinAlgorithmList HintSet::AllowedAlgorithms() const {
+  bool none = !enable_hash_join && !enable_nested_loop && !enable_merge_join;
+  JoinAlgorithmList allowed;
+  if (enable_hash_join || none) allowed.push_back(JoinAlgorithm::kHashJoin);
+  if (enable_nested_loop || none) {
+    allowed.push_back(JoinAlgorithm::kNestedLoopJoin);
   }
+  if (enable_merge_join || none) allowed.push_back(JoinAlgorithm::kMergeJoin);
   return allowed;
 }
 
@@ -93,12 +92,12 @@ bool ExpandConnected(const std::vector<TableSet>& adjacency, TableSet within,
 class DpccpPlanner {
  public:
   DpccpPlanner(const Query& query, const StatsCatalog& stats,
-               const AnalyticalCostModel& model,
-               std::vector<JoinAlgorithm> allowed, bool bushy)
+               const AnalyticalCostModel& model, JoinAlgorithmList allowed,
+               bool bushy)
       : query_(query),
         stats_(stats),
         model_(model),
-        allowed_(std::move(allowed)),
+        allowed_(allowed),
         bushy_(bushy),
         adjacency_(static_cast<size_t>(query.num_tables()), 0) {
     for (const QueryJoin& j : query.joins()) {
@@ -107,51 +106,59 @@ class DpccpPlanner {
     }
   }
 
-  // Lists every csg, sorted ascending: each proper subset of a csg
-  // precedes it, and the estimator sees the same subsets in the same order
-  // as a walk over all 2^n subsets would show it. Returns false, before any
-  // estimator call, once the join graph has more than kMaxCsgs csgs.
+  // Lists every csg: the leaves in table order, then the larger csgs
+  // ascending. Each proper subset of a csg precedes it, and the estimator
+  // sees the csgs in this order, the one in which a DP asking subset by
+  // subset would reach them. Returns false, before any estimator call, once
+  // the join graph has more than kMaxCsgs csgs.
   bool EnumerateCsgs() {
     int n = query_.num_tables();
     TableSet all = query_.AllTables();
+    // A connected graph of n tables has at least n(n+1)/2 csgs; a chain has
+    // exactly that many.
+    csgs_.reserve(static_cast<size_t>(n) * static_cast<size_t>(n + 1) / 2);
+    for (int t = 0; t < n; ++t) csgs_.push_back(TableBit(t));
     auto add = [&](TableSet s) {
       csgs_.push_back(s);
       return csgs_.size() <= kMaxCsgs;
     };
     for (int t = n - 1; t >= 0; --t) {
       TableSet start = TableBit(t);
-      if (!add(start) ||
-          !ExpandConnected(adjacency_, all, start, start | (start - 1), add)) {
+      if (!ExpandConnected(adjacency_, all, start, start | (start - 1), add)) {
         return false;
       }
     }
-    std::sort(csgs_.begin(), csgs_.end());
+    std::sort(csgs_.begin() + n, csgs_.end());
     return true;
   }
 
   // Plans the query over the csgs EnumerateCsgs() listed.
   PlannerResult Plan(CardinalityProvider* cards) {
-    int n = query_.num_tables();
+    size_t n = static_cast<size_t>(query_.num_tables());
     TableSet all = query_.AllTables();
-    memo_.resize(csgs_.size());
     BuildIndex();
-    EstimateCsgs(cards);
+    // One provider batch estimates every csg; each memo entry keeps its
+    // cardinality with the join-cost terms that depend on it alone.
+    std::vector<double> estimates;
+    cards->CardinalityBatch(query_, csgs_, &estimates);
+    memo_.resize(csgs_.size());
+    for (size_t i = 0; i < csgs_.size(); ++i) {
+      memo_[i].input = model_.Input(estimates[i]);
+    }
 
-    for (int t = 0; t < n; ++t) {
-      MemoEntry& leaf = memo_[IndexOf(TableBit(t))];
-      const std::string& name =
-          query_.tables()[static_cast<size_t>(t)].table_name;
+    for (size_t t = 0; t < n; ++t) {
+      MemoEntry& leaf = memo_[t];
+      const std::string& name = query_.tables()[t].table_name;
       leaf.cost =
           model_.ScanCost(static_cast<double>(stats_.Of(name).row_count),
-                          NumPredicatesOf(query_, t));
+                          NumPredicatesOf(query_, static_cast<int>(t)));
       leaf.node_cost = leaf.cost;
       leaf.planned = true;
     }
 
     PlannerResult result;
-    for (size_t i = 0; i < csgs_.size(); ++i) {
+    for (size_t i = n; i < csgs_.size(); ++i) {
       TableSet s = csgs_[i];
-      if (PopCount(s) < 2) continue;
       if (bushy_) {
         // Each unordered split once, from the side holding the lowest
         // table; both orientations are costed.
@@ -160,9 +167,8 @@ class DpccpPlanner {
           if (left == s) return true;
           size_t right_index = IndexOf(s & ~left);
           if (right_index == kNotConnected) return true;
-          size_t left_index = IndexOf(left);
-          result.combinations_evaluated += TryJoin(i, left_index, right_index);
-          result.combinations_evaluated += TryJoin(i, right_index, left_index);
+          result.combinations_evaluated +=
+              TryJoin(i, IndexOf(left), right_index, /*both=*/true);
           return true;
         };
         split(lowest);
@@ -173,7 +179,7 @@ class DpccpPlanner {
           size_t left_index = IndexOf(s & ~right);
           if (left_index == kNotConnected) continue;
           result.combinations_evaluated +=
-              TryJoin(i, left_index, IndexOf(right));
+              TryJoin(i, left_index, IndexOf(right), /*both=*/false);
         }
       }
     }
@@ -197,36 +203,15 @@ class DpccpPlanner {
   // Cheapest plan found so far for one csg. A join records its left input
   // and algorithm; its right input is the rest of the csg.
   struct MemoEntry {
+    /// The csg's estimated cardinality (input.rows) and sort term.
+    JoinInput input;
     double cost = std::numeric_limits<double>::infinity();
-    double card = 0.0;
     /// The root node's own cost: scan cost of a leaf, join cost of a join.
     double node_cost = 0.0;
     TableSet left = 0;
     JoinAlgorithm algorithm = JoinAlgorithm::kHashJoin;
     bool planned = false;
   };
-
-  // Fills every memo entry's cardinality from one provider batch: the
-  // leaves in table order, then the larger csgs in ascending order, the
-  // order in which a DP asking subset by subset would reach them.
-  void EstimateCsgs(CardinalityProvider* cards) {
-    std::vector<size_t> order;
-    order.reserve(csgs_.size());
-    for (int t = 0; t < query_.num_tables(); ++t) {
-      order.push_back(IndexOf(TableBit(t)));
-    }
-    for (size_t i = 0; i < csgs_.size(); ++i) {
-      if (PopCount(csgs_[i]) >= 2) order.push_back(i);
-    }
-    std::vector<TableSet> sets;
-    sets.reserve(order.size());
-    for (size_t i : order) sets.push_back(csgs_[i]);
-    std::vector<double> estimates;
-    cards->CardinalityBatch(query_, sets, &estimates);
-    for (size_t k = 0; k < order.size(); ++k) {
-      memo_[order[k]].card = estimates[k];
-    }
-  }
 
   // Open-addressing table from csg to its index in csgs_, at most half
   // full, so a lookup is one multiply and a probe or two.
@@ -235,13 +220,11 @@ class DpccpPlanner {
     while ((size_t{1} << bits) < 2 * csgs_.size()) ++bits;
     slot_shift_ = 64 - bits;
     slot_mask_ = (size_t{1} << bits) - 1;
-    slot_sets_.assign(slot_mask_ + 1, 0);
-    slot_index_.assign(slot_mask_ + 1, 0);
+    slots_.assign(slot_mask_ + 1, IndexSlot{});
     for (size_t i = 0; i < csgs_.size(); ++i) {
       size_t slot = Slot(csgs_[i]);
-      while (slot_sets_[slot] != 0) slot = (slot + 1) & slot_mask_;
-      slot_sets_[slot] = csgs_[i];
-      slot_index_[slot] = static_cast<uint32_t>(i);
+      while (slots_[slot].set != 0) slot = (slot + 1) & slot_mask_;
+      slots_[slot] = {csgs_[i], i};
     }
   }
 
@@ -251,25 +234,36 @@ class DpccpPlanner {
 
   size_t IndexOf(TableSet set) const {
     for (size_t slot = Slot(set);; slot = (slot + 1) & slot_mask_) {
-      if (slot_sets_[slot] == set) return slot_index_[slot];
-      if (slot_sets_[slot] == 0) return kNotConnected;
+      if (slots_[slot].set == set) return slots_[slot].index;
+      if (slots_[slot].set == 0) return kNotConnected;
     }
   }
 
   // Costs joining csgs_[left] with csgs_[right] into csgs_[target] under
-  // every allowed algorithm; returns the number of combinations costed.
-  // Ties resolve as a walk over the submasks of the target from the largest
-  // down would: lowest total, then the larger left input, then the earlier
-  // algorithm.
-  uint64_t TryJoin(size_t target, size_t left, size_t right) {
+  // every allowed algorithm, and then, with `both`, the same split with the
+  // inputs swapped; returns the number of combinations costed. Ties resolve
+  // as a walk over the submasks of the target from the largest down would:
+  // lowest total, then the larger left input, then the earlier algorithm.
+  uint64_t TryJoin(size_t target, size_t left, size_t right, bool both) {
     const MemoEntry& l = memo_[left];
     const MemoEntry& r = memo_[right];
     if (!l.planned || !r.planned) return 0;
     MemoEntry& out = memo_[target];
-    TableSet left_set = csgs_[left];
+    // Floating-point addition commutes, so one sum of the input costs
+    // serves both orientations bit for bit.
+    double inputs_cost = l.cost + r.cost;
+    Offer(out, inputs_cost, l, r, csgs_[left]);
+    if (!both) return allowed_.size();
+    Offer(out, inputs_cost, r, l, csgs_[right]);
+    return 2 * allowed_.size();
+  }
+
+  void Offer(MemoEntry& out, double inputs_cost, const MemoEntry& l,
+             const MemoEntry& r, TableSet left_set) const {
     for (JoinAlgorithm algo : allowed_) {
-      double join_cost = model_.JoinCost(algo, l.card, r.card, out.card);
-      double total = l.cost + r.cost + join_cost;
+      double join_cost =
+          model_.JoinCost(algo, l.input, r.input, out.input.rows);
+      double total = inputs_cost + join_cost;
       if (total < out.cost ||
           (total == out.cost && out.planned && left_set > out.left)) {
         out.cost = total;
@@ -279,7 +273,6 @@ class DpccpPlanner {
         out.planned = true;
       }
     }
-    return allowed_.size();
   }
 
   std::unique_ptr<PlanNode> Materialize(TableSet set) const {
@@ -289,24 +282,28 @@ class DpccpPlanner {
             ? MakeScanNode(__builtin_ctzll(set))
             : MakeJoinNode(entry.algorithm, Materialize(entry.left),
                            Materialize(set & ~entry.left));
-    node->estimated_cardinality = entry.card;
+    node->estimated_cardinality = entry.input.rows;
     node->estimated_cost = entry.node_cost;
     return node;
   }
 
+  struct IndexSlot {
+    TableSet set = 0;  // 0 marks an empty slot.
+    size_t index = 0;
+  };
+
   const Query& query_;
   const StatsCatalog& stats_;
   const AnalyticalCostModel& model_;
-  const std::vector<JoinAlgorithm> allowed_;
+  const JoinAlgorithmList allowed_;
   const bool bushy_;
   /// adjacency_[t]: tables sharing a join conjunct with table t.
   std::vector<TableSet> adjacency_;
-  /// Every connected subset of the join graph, ascending; memo_[i] is the
-  /// entry of csgs_[i].
+  /// Every connected subset of the join graph, in EnumerateCsgs() order;
+  /// memo_[i] is the entry of csgs_[i].
   std::vector<TableSet> csgs_;
   std::vector<MemoEntry> memo_;
-  std::vector<TableSet> slot_sets_;  // 0 marks an empty slot.
-  std::vector<uint32_t> slot_index_;
+  std::vector<IndexSlot> slots_;
   int slot_shift_ = 0;
   size_t slot_mask_ = 0;
 };
@@ -338,7 +335,7 @@ PlannerResult Optimizer::OptimizeGreedy(const Query& query,
   LQO_CHECK(query.num_tables() > 0);
   LQO_CHECK(query.IsConnected(query.AllTables()));
   const AnalyticalCostModel& model = AsAnalytical(*cost_model_);
-  std::vector<JoinAlgorithm> allowed = hints.AllowedAlgorithms();
+  JoinAlgorithmList allowed = hints.AllowedAlgorithms();
   PlannerResult result;
 
   std::vector<Entry> components;
@@ -412,7 +409,7 @@ PlannerResult Optimizer::OptimizeWithLeading(const Query& query,
                                              CardinalityProvider* cards,
                                              const HintSet& hints) const {
   const AnalyticalCostModel& model = AsAnalytical(*cost_model_);
-  std::vector<JoinAlgorithm> allowed = hints.AllowedAlgorithms();
+  JoinAlgorithmList allowed = hints.AllowedAlgorithms();
   PlannerResult result;
 
   auto scan_entry = [&](int t) {

@@ -1,6 +1,8 @@
 #ifndef LQO_OPTIMIZER_OPTIMIZER_H_
 #define LQO_OPTIMIZER_OPTIMIZER_H_
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,20 @@
 #include "optimizer/table_stats.h"
 
 namespace lqo {
+
+/// Up to three join algorithms, in order, held in place (no allocation).
+class JoinAlgorithmList {
+ public:
+  void push_back(JoinAlgorithm algorithm) { items_[size_++] = algorithm; }
+  size_t size() const { return size_; }
+  JoinAlgorithm operator[](size_t i) const { return items_[i]; }
+  const JoinAlgorithm* begin() const { return items_.data(); }
+  const JoinAlgorithm* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<JoinAlgorithm, 3> items_{};
+  size_t size_ = 0;
+};
 
 /// Planner hints, mirroring the steering knobs the end-to-end learned
 /// optimizers use: Bao toggles physical operators (enable_* GUCs), HyperQO
@@ -24,7 +40,7 @@ struct HintSet {
   std::vector<int> leading;
 
   /// Allowed algorithms; falls back to all three if every flag is off.
-  std::vector<JoinAlgorithm> AllowedAlgorithms() const;
+  JoinAlgorithmList AllowedAlgorithms() const;
 };
 
 /// The plan-enumerator component of the volcano optimizer.

@@ -7,8 +7,11 @@
 // scalar definitions over the same join graphs.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 
 #include "benchlib/lab.h"
 #include "cardinality/training_data.h"
+#include "common/rng.h"
 #include "e2e/bao.h"
 #include "query/sql_parser.h"
 #include "query/workload.h"
@@ -282,6 +286,128 @@ TEST(DpOracleTest, FortyWayChainFromSqlPlans) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden plan fingerprint: DPccp's plans, per-node estimates and costs,
+// folded into one number that must equal the value the planner produced
+// before its memo and cost terms were restructured. The oracle tests above
+// hold the DP to a second planner; this one holds it to its own history.
+
+uint64_t Fold(uint64_t hash, uint64_t value) {
+  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
+  return hash;
+}
+
+uint64_t FoldNodes(uint64_t hash, const PlanNode& node) {
+  hash = Fold(hash, node.table_set);
+  hash = Fold(hash, node.kind == PlanNode::Kind::kScan
+                        ? 0xffu
+                        : static_cast<uint64_t>(node.algorithm));
+  hash = Fold(hash, std::bit_cast<uint64_t>(node.estimated_cardinality));
+  hash = Fold(hash, std::bit_cast<uint64_t>(node.estimated_cost));
+  if (node.kind == PlanNode::Kind::kJoin) {
+    hash = FoldNodes(hash, *node.left);
+    hash = FoldNodes(hash, *node.right);
+  }
+  return hash;
+}
+
+// Requires every node's estimates to equal the cost model's own
+// recomputation over the same provider.
+void ExpectNodesMatchRecomputed(const PlanNode& planned,
+                                const PlanNode& recomputed) {
+  EXPECT_EQ(planned.estimated_cardinality, recomputed.estimated_cardinality);
+  EXPECT_EQ(planned.estimated_cost, recomputed.estimated_cost);
+  if (planned.kind == PlanNode::Kind::kJoin) {
+    ExpectNodesMatchRecomputed(*planned.left, *recomputed.left);
+    ExpectNodesMatchRecomputed(*planned.right, *recomputed.right);
+  }
+}
+
+// Plans `query`, folds the plan into `hash`, and checks the node costs
+// against AnalyticalCostModel::PlanCost().
+uint64_t FoldPlanned(const Lab& lab, const Query& query, bool bushy,
+                     const HintSet& hints, uint64_t hash) {
+  OptimizerOptions options;
+  options.bushy = bushy;
+  Optimizer optimizer(&lab.stats, lab.cost_model.get(), options);
+  CardinalityProvider cards(lab.estimator.get());
+  PlannerResult planned = optimizer.Optimize(query, &cards, hints);
+  EXPECT_FALSE(planned.greedy_fallback);
+  PhysicalPlan recomputed = planned.plan.Clone();
+  lab.cost_model->PlanCost(&recomputed, &cards);
+  ExpectNodesMatchRecomputed(*planned.plan.root, *recomputed.root);
+  hash = FoldNodes(hash, *planned.plan.root);
+  hash = Fold(hash, std::bit_cast<uint64_t>(planned.estimated_cost));
+  return Fold(hash, planned.combinations_evaluated);
+}
+
+// The 16 chain templates of the serve_chain/plan_chain benchmark (10-12
+// tables, range predicates on the first two tables), each with two
+// bindings drawn from a fixed seed, one of them with tightened ranges,
+// parsed back from SQL as the benchmark does.
+std::vector<Query> BenchmarkChainQueries(const Lab& lab) {
+  WorkloadOptions options;
+  options.num_queries = 16;
+  options.min_tables = 10;
+  options.max_tables = 12;
+  options.equality_prob = 0.0;
+  options.in_prob = 0.0;
+  options.seed = 77;
+  Rng rng(DeriveSeed(1729, 0));
+  std::vector<Query> queries;
+  for (const Query& generated :
+       GenerateWorkload(lab.catalog, options).queries) {
+    Query trimmed;
+    for (const QueryTable& t : generated.tables()) {
+      trimmed.AddTable(t.table_name, t.alias);
+    }
+    for (const QueryJoin& j : generated.joins()) {
+      trimmed.AddJoin(j.left_table, j.left_column, j.right_table,
+                      j.right_column);
+    }
+    for (const Predicate& p : generated.predicates()) {
+      if (p.table_index < 2) trimmed.AddPredicate(p);
+    }
+    for (double widen : {1.0, 0.02}) {
+      StatusOr<Query> parsed = ParseSql(
+          lab.catalog,
+          ResampleConstants(lab.catalog, trimmed, rng, widen).ToString());
+      EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+      if (parsed.ok()) queries.push_back(*std::move(parsed));
+    }
+  }
+  return queries;
+}
+
+TEST(GoldenPlanTest, ChainAndBaoArmPlansMatchTheirFingerprint) {
+  uint64_t hash = 0;
+  auto chain = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
+  std::vector<Query> chain_queries = BenchmarkChainQueries(*chain);
+  ASSERT_EQ(chain_queries.size(), 32u);
+  for (const Query& query : chain_queries) {
+    hash = FoldPlanned(*chain, query, true, HintSet(), hash);
+  }
+
+  auto stats = MakeLab("stats_lite", 0.05);
+  WorkloadOptions options;
+  options.num_queries = 40;
+  options.min_tables = 2;
+  options.max_tables = 4;
+  options.seed = 62;
+  std::vector<HintSet> arms = BaoArms(*stats);
+  ASSERT_EQ(arms.size(), 7u);
+  for (const Query& query : GenerateWorkload(stats->catalog, options).queries) {
+    for (bool bushy : {true, false}) {
+      for (const HintSet& arm : arms) {
+        hash = FoldPlanned(*stats, query, bushy, arm, hash);
+      }
+    }
+  }
+  // Read from the planner before its flat cardinality memo and per-csg
+  // join-cost terms; any change to a plan, estimate or cost bit moves it.
+  EXPECT_EQ(hash, 0x488aeaa0cd35a643ull);
+}
+
+// ---------------------------------------------------------------------------
 // Batch cardinality paths against their scalar definitions.
 
 // The query shapes the batch paths are checked on: 12-way chains, 7-way
@@ -438,6 +564,186 @@ TEST(BatchCardinalityTest, ProviderBatchMatchesScalarCardinality) {
     ExpectBatchMatchesScalar(baseline, query, sets, warm);
     ExpectBatchMatchesScalar(baseline, query, sets, warm, 2.0, 2);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The provider memo across batches, views and clears.
+
+// Twin providers over recording estimators: one asked through
+// CardinalityBatch(), the other subset by subset through Cardinality().
+// After every step both must hold the same answers, memo counters and
+// estimator call sequences.
+class ProviderTwins {
+ public:
+  explicit ProviderTwins(CardinalityEstimatorInterface* base)
+      : batch_recorder_(base),
+        scalar_recorder_(base),
+        batch_(&batch_recorder_),
+        scalar_(&scalar_recorder_) {}
+
+  CardinalityProvider& batch() { return batch_; }
+  CardinalityProvider& scalar() { return scalar_; }
+
+  // Applies `step` to both providers.
+  void Both(const std::function<void(CardinalityProvider*)>& step) {
+    step(&batch_);
+    step(&scalar_);
+  }
+
+  void Ask(const Query& query, const std::vector<TableSet>& sets) {
+    Ask(&batch_, &scalar_, query, sets);
+  }
+
+  // Asks `batch` for `sets` in one batch and `scalar` one subset at a time.
+  static void Ask(CardinalityProvider* batch, CardinalityProvider* scalar,
+                  const Query& query, const std::vector<TableSet>& sets) {
+    std::vector<double> got;
+    batch->CardinalityBatch(query, sets, &got);
+    ASSERT_EQ(got.size(), sets.size());
+    for (size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_EQ(got[i], scalar->Cardinality(Subquery{&query, sets[i]}))
+          << "subset " << sets[i];
+    }
+    ExpectSameCounters(*batch, *scalar);
+  }
+
+  // Asks both providers for `sets` one subset at a time.
+  void AskScalar(const Query& query, const std::vector<TableSet>& sets) {
+    for (TableSet set : sets) {
+      EXPECT_EQ(batch_.Cardinality(Subquery{&query, set}),
+                scalar_.Cardinality(Subquery{&query, set}))
+          << "subset " << set;
+    }
+    ExpectSameCounters(batch_, scalar_);
+  }
+
+  void ExpectSameHistory() const {
+    ExpectSameCounters(batch_, scalar_);
+    EXPECT_EQ(batch_recorder_.calls(), scalar_recorder_.calls());
+  }
+
+ private:
+  static void ExpectSameCounters(const CardinalityProvider& a,
+                                 const CardinalityProvider& b) {
+    EXPECT_EQ(a.Stats().hits, b.Stats().hits);
+    EXPECT_EQ(a.Stats().misses, b.Stats().misses);
+  }
+
+  RecordingEstimator batch_recorder_;
+  RecordingEstimator scalar_recorder_;
+  CardinalityProvider batch_;
+  CardinalityProvider scalar_;
+};
+
+// Distinct Subquery keys among the connected subsets of `queries`: the
+// number of misses a memo that never clears takes for them.
+size_t DistinctKeys(const std::vector<Query>& queries) {
+  std::set<uint64_t> keys;
+  for (const Query& query : queries) {
+    for (TableSet set : ConnectedSubsets(query)) {
+      keys.insert(Subquery{&query, set}.KeyHash());
+    }
+  }
+  return keys.size();
+}
+
+// Bao asks for every connected subset once per arm, and a provider shared
+// over a workload keeps growing: 8 chain templates, 7 batches each, grow
+// the memo past several capacity doublings.
+TEST(ProviderMemoTest, GrowsAcrossBatchesLikeScalarLookups) {
+  auto lab = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
+  ProviderTwins twins(lab->estimator.get());
+  std::vector<Query> queries = ChainTemplates(*lab, 8).queries;
+  size_t asked = 0;
+  for (const Query& query : queries) {
+    std::vector<TableSet> sets = ConnectedSubsets(query);
+    asked += 7 * sets.size();
+    for (int arm = 0; arm < 7; ++arm) twins.Ask(query, sets);
+  }
+  twins.ExpectSameHistory();
+  size_t distinct = DistinctKeys(queries);
+  EXPECT_EQ(twins.batch().Stats().misses, distinct);
+  EXPECT_EQ(twins.batch().Stats().hits, asked - distinct);
+  EXPECT_GT(distinct, 512u);
+}
+
+// In a self-join two aliases of one table have equal keys, so one batch
+// asks for the same key twice: the second ask is a hit, as in scalar order.
+TEST(ProviderMemoTest, KeyRepeatedWithinOneBatchIsAHit) {
+  auto lab = MakeLabFromCatalog(MakeChainSchema(3, 200, 42));
+  Query query;
+  int a = query.AddTable("t1", "a");
+  int b = query.AddTable("t1", "b");
+  int c = query.AddTable("t0", "c");
+  query.AddJoin(c, "id", a, "prev_id");
+  query.AddJoin(c, "id", b, "prev_id");
+  std::vector<TableSet> sets = ConnectedSubsets(query);
+  ASSERT_EQ((Subquery{&query, TableBit(a)}.KeyHash()),
+            (Subquery{&query, TableBit(b)}.KeyHash()));
+  ProviderTwins twins(lab->estimator.get());
+  twins.Ask(query, sets);
+  twins.ExpectSameHistory();
+  // {a} = {b} and {a, c} = {b, c}: two of the six subsets repeat a key.
+  EXPECT_EQ(twins.batch().Stats().hits, 2u);
+  EXPECT_EQ(twins.batch().Stats().misses, sets.size() - 2);
+}
+
+// Scalar lookups after a batch find what the batch stored, and a later
+// batch finds what scalar lookups stored.
+TEST(ProviderMemoTest, ScalarAndBatchLookupsShareTheMemo) {
+  auto lab = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
+  ProviderTwins twins(lab->estimator.get());
+  std::vector<Query> queries = ChainTemplates(*lab, 2).queries;
+  std::vector<TableSet> sets = ConnectedSubsets(queries[0]);
+  std::vector<TableSet> half(sets.begin(), sets.begin() + sets.size() / 2);
+  twins.Ask(queries[0], half);
+  twins.AskScalar(queries[0], sets);
+  twins.Ask(queries[0], sets);
+  twins.AskScalar(queries[1], ConnectedSubsets(queries[1]));
+  twins.Ask(queries[1], ConnectedSubsets(queries[1]));
+  twins.ExpectSameHistory();
+  EXPECT_EQ(twins.batch().Stats().misses, DistinctKeys(queries));
+}
+
+// Lero's scaled views share one base memo: each view scales the base's
+// raw estimates, and the base estimates each subset once.
+TEST(ProviderMemoTest, ScaledViewsShareTheBaseMemo) {
+  auto lab = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
+  ProviderTwins twins(lab->estimator.get());
+  std::vector<Query> queries = ChainTemplates(*lab, 2).queries;
+  for (double factor : {0.1, 1.0, 10.0, 100.0}) {
+    CardinalityProvider batch_view(&twins.batch(), factor, 2);
+    CardinalityProvider scalar_view(&twins.scalar(), factor, 2);
+    for (const Query& query : queries) {
+      ProviderTwins::Ask(&batch_view, &scalar_view, query,
+                         ConnectedSubsets(query));
+    }
+  }
+  twins.ExpectSameHistory();
+  EXPECT_EQ(twins.batch().Stats().misses, DistinctKeys(queries));
+}
+
+// InjectOverride, SetScale and ClearOverrides empty the memo: the next
+// batch asks for every subset again, and answers with the new settings.
+TEST(ProviderMemoTest, OverridesAndScalingClearTheMemo) {
+  auto lab = MakeLabFromCatalog(MakeChainSchema(12, 200, 42));
+  ProviderTwins twins(lab->estimator.get());
+  const Query query = ChainTemplates(*lab, 1).queries[0];
+  std::vector<TableSet> sets = ConnectedSubsets(query);
+  const std::string key = Subquery{&query, sets.back()}.Key();
+  const std::vector<std::function<void(CardinalityProvider*)>> clears = {
+      [&](CardinalityProvider* cards) { cards->InjectOverride(key, 7.5); },
+      [](CardinalityProvider* cards) { cards->SetScale(4.0, 2); },
+      [](CardinalityProvider* cards) { cards->ClearOverrides(); },
+  };
+  twins.Ask(query, sets);
+  for (const auto& clear : clears) {
+    uint64_t misses = twins.batch().Stats().misses;
+    twins.Both(clear);
+    twins.Ask(query, sets);
+    EXPECT_EQ(twins.batch().Stats().misses, misses + sets.size());
+  }
+  twins.ExpectSameHistory();
 }
 
 }  // namespace

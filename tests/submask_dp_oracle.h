@@ -48,7 +48,7 @@ inline PlannerResult SubmaskDp(const Optimizer& optimizer, bool bushy,
   LQO_CHECK(hints.leading.empty());
   const auto& model =
       dynamic_cast<const AnalyticalCostModel&>(optimizer.cost_model());
-  std::vector<JoinAlgorithm> allowed = hints.AllowedAlgorithms();
+  JoinAlgorithmList allowed = hints.AllowedAlgorithms();
 
   int n = query.num_tables();
   std::unordered_map<TableSet, Entry> best;

@@ -6,8 +6,11 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +131,40 @@ TEST_F(ThreadPoolTest, OneThreadPoolRunsInlineWithoutWorkers) {
     seen[i] = std::this_thread::get_id();
   }, &pool);
   for (const auto& id : seen) EXPECT_EQ(id, caller);
+}
+
+// The caller claims chunks itself, so a loop finishes even while every
+// worker is held by an unrelated task; helpers queued behind those tasks
+// start after the loop returned and find nothing left to claim.
+TEST_F(ThreadPoolTest, ParallelForCompletesOnCallerWhileWorkersAreBlocked) {
+  std::mutex mutex;  // guards: held, release
+  std::condition_variable changed;
+  int held = 0;
+  bool release = false;
+  ThreadPool pool(4);  // Destroyed first: joins the held tasks.
+  for (int w = 0; w < 3; ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++held;
+      changed.notify_all();
+      changed.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    changed.wait(lock, [&] { return held == 3; });
+  }
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen(64);
+  ParallelFor(seen.size(), [&](size_t i) {
+    seen[i] = std::this_thread::get_id();
+  }, &pool);
+  for (const auto& id : seen) EXPECT_EQ(id, caller);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  changed.notify_all();
 }
 
 TEST_F(ThreadPoolTest, DerivedSeedStreamsMatchAcrossThreadCounts) {
