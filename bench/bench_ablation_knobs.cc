@@ -11,7 +11,6 @@
 #include "benchlib/lab.h"
 #include "common/str_util.h"
 #include "common/table_printer.h"
-#include "costmodel/plan_featurizer.h"
 #include "e2e/bao.h"
 #include "e2e/hyperqo.h"
 #include "e2e/lero.h"
@@ -24,36 +23,34 @@ namespace {
 class PointwiseLero : public LearnedQueryOptimizer {
  public:
   PointwiseLero(const E2eContext& context, LeroOptions options)
-      : lero_(context, options) {}
+      : context_(context), lero_(context, options) {}
 
   PhysicalPlan ChoosePlan(const Query& query) override {
-    std::vector<PhysicalPlan> candidates = lero_.Candidates(query);
-    if (!risk_model_.trained() || candidates.size() == 1) {
-      return std::move(candidates[0]);
-    }
-    std::vector<std::vector<double>> features;
-    for (const PhysicalPlan& plan : candidates) {
-      features.push_back(PlanFeaturizer::Featurize(plan));
-    }
-    return std::move(candidates[risk_model_.PickBest(features)]);
+    CandidateSet set = TrainingCandidateSet(query);
+    return std::move(set.plans[set.chosen]);
   }
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override {
-    return lero_.Candidates(query);
+  CandidateSet TrainingCandidateSet(const Query& query) override {
+    CandidateSet set;
+    set.plans = lero_.Candidates(query);
+    FeaturizeCandidates(context_, query, /*annotated=*/true, &set);
+    if (risk_model_.trained() && set.plans.size() > 1) {
+      set.chosen = risk_model_.PickBest(set.features);
+    }
+    return set;
   }
   void Observe(const Query& query, const PhysicalPlan& plan,
                double time_units) override {
-    PlanExperience experience;
-    experience.query_key = Subquery{&query, query.AllTables()}.Key();
-    experience.features = PlanFeaturizer::Featurize(plan);
-    experience.time_units = time_units;
-    experience.plan_signature = plan.Signature();
-    experience_.Add(std::move(experience));
+    experience_.Add(MakePlanExperience(
+        query, plan,
+        FeaturizePlanCachedVec(context_, query, plan, /*annotated=*/true),
+        time_units));
   }
   void Retrain() override { risk_model_.Train(experience_); }
   std::string Name() const override { return "lero_pointwise"; }
   bool trained() const override { return risk_model_.trained(); }
 
  private:
+  E2eContext context_;
   LeroOptimizer lero_;
   ExperienceBuffer experience_;
   PointwiseRiskModel risk_model_;

@@ -13,8 +13,9 @@
 #                       accesses introduced by a new parallel site fail even
 #                       on single-core runners.
 #   3. UBSan suite    — rebuilds under UndefinedBehaviorSanitizer with
-#                       -fno-sanitize-recover=all (any UB aborts) and runs
-#                       ctest again.
+#                       -fno-sanitize-recover=all (any UB aborts), runs
+#                       ctest again, and requires E7's and E10's stdout to
+#                       be byte-identical at 1 and 4 pool threads.
 #
 # Both sanitizer builds compile with LQO_WERROR=ON, so the hardened warning
 # set (-Wshadow -Wnon-virtual-dtor -Wimplicit-fallthrough -Wcast-qual) is
@@ -129,6 +130,17 @@ cmake -B "$UBSAN_DIR" -S . -DLQO_SANITIZE=undefined -DLQO_WERROR=ON
 cmake --build "$UBSAN_DIR" -j"$JOBS"
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
   ctest --test-dir "$UBSAN_DIR" --output-on-failure -j"$JOBS"
+# Learned-selector determinism, under UBSan: E7 (Eraser) and E10 (design
+# ablations) print no wall-clock figures, so their stdout must be
+# byte-identical at 1 and 4 pool threads. A thread-count dependence in
+# candidate generation, batched scoring or the retrain loop fails the cmp.
+for bench in bench_regression_eraser bench_ablation_knobs; do
+  for threads in 1 4; do
+    LQO_THREADS="$threads" UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+      "$UBSAN_DIR/bench/$bench" > "$UBSAN_DIR/$bench.threads$threads.out"
+  done
+  cmp "$UBSAN_DIR/$bench.threads1.out" "$UBSAN_DIR/$bench.threads4.out"
+done
 echo "check.sh: stage 3 (UBSan suite) passed"
 
 # --- Stage 4: Clang Thread Safety Analysis ---------------------------------

@@ -18,9 +18,10 @@ struct HarnessOptions {
   int training_passes = 2;
 };
 
-/// Trains a learned optimizer: for each training query, executes all its
-/// TrainingCandidates, feeds the observations back, and retrains
-/// periodically. Returns total executed time units (the training cost).
+/// Trains a learned optimizer: for each training query, executes every
+/// plan of its TrainingCandidateSet, feeds the observations back, and
+/// retrains periodically. Returns total executed time units (the training
+/// cost).
 double TrainLearnedOptimizer(LearnedQueryOptimizer* optimizer,
                              const Workload& train, const Executor& executor,
                              const HarnessOptions& options = HarnessOptions());

@@ -22,30 +22,19 @@ BaoOptimizer::BaoOptimizer(const E2eContext& context, BaoOptions options)
                  ((mask & 2) ? "n" : "") + ((mask & 4) ? "m" : "");
     arms_.push_back(hints);
   }
-  arm_useful_.assign(arms_.size(), false);
 }
 
 std::vector<PhysicalPlan> BaoOptimizer::Candidates(const Query& query) {
   // Every arm plans against one provider, so each sub-query estimate is
-  // derived once and shared across arms. Arm-usefulness bookkeeping and
-  // signature dedup depend on arm order.
+  // derived once and shared across arms. Signature dedup keeps each plan's
+  // first arm; arm 0 is the default, so candidates[0] is the native plan.
   CardinalityProvider cards(context_.estimator);
   std::vector<PhysicalPlan> candidates;
   std::set<std::string> seen;
-  std::string default_signature;
-  for (size_t a = 0; a < arms_.size(); ++a) {
-    PhysicalPlan plan =
-        context_.optimizer->Optimize(query, &cards, arms_[a]).plan;
+  for (const HintSet& arm : arms_) {
+    PhysicalPlan plan = context_.optimizer->Optimize(query, &cards, arm).plan;
     AnnotateWithProvider(context_, &plan, &cards);
-    std::string signature = plan.Signature();
-    if (arms_[a].enable_hash_join && arms_[a].enable_nested_loop &&
-        arms_[a].enable_merge_join) {
-      default_signature = signature;
-    } else if (!default_signature.empty() &&
-               signature != default_signature) {
-      arm_useful_[a] = true;
-    }
-    if (!seen.insert(signature).second) continue;
+    if (!seen.insert(plan.Signature()).second) continue;
     candidates.push_back(std::move(plan));
   }
   return candidates;
@@ -83,27 +72,12 @@ PhysicalPlan BaoOptimizer::ChoosePlan(const Query& query) {
 
 void BaoOptimizer::Observe(const Query& query, const PhysicalPlan& plan,
                            double time_units) {
-  PlanExperience experience;
-  experience.query_key = Subquery{&query, query.AllTables()}.Key();
-  experience.features = PlanFeaturizer::Featurize(plan);
-  experience.time_units = time_units;
-  experience.plan_signature = plan.Signature();
-  experience_.Add(std::move(experience));
+  experience_.Add(MakePlanExperience(query, plan,
+                                     PlanFeaturizer::Featurize(plan),
+                                     time_units));
   ++observations_;
 }
 
 void BaoOptimizer::Retrain() { risk_model_.Train(experience_); }
-
-std::vector<HintSet> BaoOptimizer::DiscoverUsefulArms() const {
-  if (observations_ == 0) return arms_;
-  std::vector<HintSet> useful;
-  for (size_t a = 0; a < arms_.size(); ++a) {
-    bool is_default = arms_[a].enable_hash_join &&
-                      arms_[a].enable_nested_loop &&
-                      arms_[a].enable_merge_join;
-    if (is_default || arm_useful_[a]) useful.push_back(arms_[a]);
-  }
-  return useful;
-}
 
 }  // namespace lqo

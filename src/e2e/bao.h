@@ -25,9 +25,7 @@ struct BaoOptions {
 
 /// Bao [37]: steers the native optimizer with operator on/off hint sets
 /// (the 7 non-empty subsets of {hash, nlj, merge}) and selects the arm
-/// whose plan a learned latency model scores best. AutoSteer's [1]
-/// automated hint-set discovery is reflected in DiscoverUsefulArms(), which
-/// prunes arms that never produce a distinct plan.
+/// whose plan a learned latency model scores best.
 class BaoOptimizer : public LearnedQueryOptimizer {
  public:
   BaoOptimizer(const E2eContext& context, BaoOptions options = BaoOptions());
@@ -42,10 +40,6 @@ class BaoOptimizer : public LearnedQueryOptimizer {
     return risk_model_.InferenceStats();
   }
 
-  /// Arms whose plans differed from the default on at least one observed
-  /// query (AutoSteer-style pruning); all arms before any observation.
-  std::vector<HintSet> DiscoverUsefulArms() const;
-
   const std::vector<HintSet>& arms() const { return arms_; }
 
  private:
@@ -59,8 +53,6 @@ class BaoOptimizer : public LearnedQueryOptimizer {
   PointwiseRiskModel risk_model_;
   Rng rng_;
   int observations_ = 0;
-  /// Arm indices that produced a plan different from the default arm.
-  std::vector<bool> arm_useful_;
   /// Reused across ChoosePlan calls (capacity persists).
   FeatureMatrix feature_scratch_;
 };

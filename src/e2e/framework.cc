@@ -83,4 +83,26 @@ std::vector<double> FeaturizePlanCachedVec(const E2eContext& context,
   return features;
 }
 
+void FeaturizeCandidates(const E2eContext& context, const Query& query,
+                         bool annotated, CandidateSet* set) {
+  LQO_CHECK(set != nullptr);
+  set->features.Reset(PlanFeaturizer::kDim);
+  set->features.Reserve(set->plans.size());
+  for (const PhysicalPlan& plan : set->plans) {
+    FeaturizePlanCached(context, query, plan, annotated,
+                        set->features.AppendRow());
+  }
+}
+
+PlanExperience MakePlanExperience(const Query& query, const PhysicalPlan& plan,
+                                  std::vector<double> features,
+                                  double time_units) {
+  PlanExperience experience;
+  experience.query_key = Subquery{&query, query.AllTables()}.Key();
+  experience.features = std::move(features);
+  experience.time_units = time_units;
+  experience.plan_signature = plan.Signature();
+  return experience;
+}
+
 }  // namespace lqo

@@ -40,7 +40,8 @@ struct E2eContext {
   PlanCache* plan_cache = nullptr;
 };
 
-/// One observed execution, the unit of experience for risk models.
+/// One observed execution, the unit of experience for risk models. Built
+/// by MakePlanExperience.
 struct PlanExperience {
   /// Groups observations of the same logical query (for pairwise models).
   std::string query_key;
@@ -76,24 +77,16 @@ class LearnedQueryOptimizer {
   /// The plan this optimizer would execute for `query` right now.
   virtual PhysicalPlan ChoosePlan(const Query& query) = 0;
 
-  /// Candidate plans worth executing during the training phase (plan
-  /// exploration). Default: just the chosen plan.
-  virtual std::vector<PhysicalPlan> TrainingCandidates(const Query& query) {
-    std::vector<PhysicalPlan> plans;
-    plans.push_back(ChoosePlan(query));
-    return plans;
-  }
-
-  /// Candidates plus batched scoring artifacts for one training step. The
-  /// batch-scoring optimizers (Lero, LEON, HyperQO, Eraser) override this
-  /// to featurize the whole candidate set into one FeatureMatrix (through
-  /// the context's FeatureCache when present) and score it with a single
-  /// PredictBatch call; their ChoosePlan is then `plans[chosen]` of this
-  /// set. Default: wraps TrainingCandidates with empty scoring artifacts so
-  /// ablation/probing subclasses keep working unchanged.
+  /// The candidate plans worth executing for one training step (plan
+  /// exploration) with their batched scoring artifacts. Lero, LEON and
+  /// HyperQO override this to featurize the whole candidate set with
+  /// FeaturizeCandidates and score it in one batched model pass (their
+  /// ChoosePlan is then `plans[chosen]` of this set); EraserGuard pairs the
+  /// inner optimizer's choice with the native plan. Default: just the
+  /// chosen plan, with no scoring artifacts.
   virtual CandidateSet TrainingCandidateSet(const Query& query) {
     CandidateSet set;
-    set.plans = TrainingCandidates(query);
+    set.plans.push_back(ChoosePlan(query));
     return set;
   }
 
@@ -155,6 +148,19 @@ std::vector<double> FeaturizePlanCachedVec(const E2eContext& context,
                                            const Query& query,
                                            const PhysicalPlan& plan,
                                            bool annotated);
+
+/// Fills `set->features` with one FeaturizePlanCached row per plan of
+/// `set->plans`, in plan order; `annotated` as for FeaturizePlanCached.
+/// Besides feeding the batched scorer, the rows warm the context's feature
+/// cache for the Observe calls that follow the candidates' executions.
+void FeaturizeCandidates(const E2eContext& context, const Query& query,
+                         bool annotated, CandidateSet* set);
+
+/// The experience record of one execution of `plan` for `query`: keyed by
+/// the query's full-table Subquery::Key, labelled with the plan signature.
+PlanExperience MakePlanExperience(const Query& query, const PhysicalPlan& plan,
+                                  std::vector<double> features,
+                                  double time_units);
 
 }  // namespace lqo
 

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/stats_util.h"
-#include "costmodel/plan_featurizer.h"
 
 namespace lqo {
 
@@ -34,17 +33,6 @@ std::vector<PhysicalPlan> HyperQoOptimizer::Candidates(const Query& query) {
   return candidates;
 }
 
-void HyperQoOptimizer::Predict(const std::vector<double>& features,
-                               double* mean, double* stddev) const {
-  LQO_CHECK(trained_);
-  std::vector<double> predictions;
-  for (const Mlp& model : ensemble_) {
-    predictions.push_back(model.Predict(features));
-  }
-  *mean = Mean(predictions);
-  *stddev = StdDev(predictions);
-}
-
 void HyperQoOptimizer::PredictBatch(const FeatureMatrix& x,
                                     std::span<double> means,
                                     std::span<double> stddevs) const {
@@ -55,8 +43,7 @@ void HyperQoOptimizer::PredictBatch(const FeatureMatrix& x,
   size_t n = x.rows();
   // Member-major: each MLP runs one blocked forward pass over the whole
   // batch. The per-row reduction then gathers that row's predictions in
-  // ensemble order, so Mean/StdDev see the exact vector the scalar path
-  // builds.
+  // ensemble order.
   std::vector<double> member_out(ensemble_.size() * n);
   for (size_t k = 0; k < ensemble_.size(); ++k) {
     ensemble_[k].PredictBatch(x,
@@ -83,25 +70,13 @@ PhysicalPlan HyperQoOptimizer::ChoosePlan(const Query& query) {
   return std::move(set.plans[set.chosen]);
 }
 
-std::vector<PhysicalPlan> HyperQoOptimizer::TrainingCandidates(
-    const Query& query) {
-  return Candidates(query);
-}
-
 CandidateSet HyperQoOptimizer::TrainingCandidateSet(const Query& query) {
   CandidateSet set;
   set.plans = Candidates(query);
   LQO_CHECK(!set.plans.empty());
-  // One featurize pass over the candidate set (served from the shared
-  // plan-signature cache when present); the ensemble then scores it in a
-  // handful of batched forward passes instead of one scalar Predict per
-  // model per candidate.
-  set.features.Reset(PlanFeaturizer::kDim);
-  set.features.Reserve(set.plans.size());
-  for (const PhysicalPlan& plan : set.plans) {
-    FeaturizePlanCached(context_, query, plan, /*annotated=*/true,
-                        set.features.AppendRow());
-  }
+  // The ensemble scores the candidate set in one batched forward pass per
+  // member.
+  FeaturizeCandidates(context_, query, /*annotated=*/true, &set);
   if (!trained_ || set.plans.size() == 1) {
     set.chosen = 0;  // cost-based fallback.
     return set;
@@ -130,13 +105,10 @@ CandidateSet HyperQoOptimizer::TrainingCandidateSet(const Query& query) {
 
 void HyperQoOptimizer::Observe(const Query& query, const PhysicalPlan& plan,
                                double time_units) {
-  PlanExperience experience;
-  experience.query_key = Subquery{&query, query.AllTables()}.Key();
-  experience.features =
-      FeaturizePlanCachedVec(context_, query, plan, /*annotated=*/true);
-  experience.time_units = time_units;
-  experience.plan_signature = plan.Signature();
-  experience_.Add(std::move(experience));
+  experience_.Add(MakePlanExperience(
+      query, plan,
+      FeaturizePlanCachedVec(context_, query, plan, /*annotated=*/true),
+      time_units));
 }
 
 void HyperQoOptimizer::Retrain() {

@@ -31,7 +31,6 @@ class HyperQoOptimizer : public LearnedQueryOptimizer {
                    HyperQoOptions options = HyperQoOptions());
 
   PhysicalPlan ChoosePlan(const Query& query) override;
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override;
   CandidateSet TrainingCandidateSet(const Query& query) override;
   void Observe(const Query& query, const PhysicalPlan& plan,
                double time_units) override;
@@ -40,14 +39,10 @@ class HyperQoOptimizer : public LearnedQueryOptimizer {
   bool trained() const override { return trained_; }
   InferenceStatsSnapshot InferenceStats() const override;
 
-  /// Ensemble mean/std of predicted log latency for a feature vector.
-  void Predict(const std::vector<double>& features, double* mean,
-               double* stddev) const;
-
-  /// Batch variant over all rows of `x`: each ensemble member scores the
-  /// whole batch with one PredictBatch pass, then per-row mean/stddev
-  /// reduce over the members in ensemble order — bit-identical to calling
-  /// Predict row by row.
+  /// Ensemble mean/std of predicted log latency for every row of `x`:
+  /// each ensemble member scores the whole batch with one PredictBatch
+  /// pass (bit for bit its scalar Predict), then per-row mean/stddev
+  /// reduce over the members in ensemble order.
   void PredictBatch(const FeatureMatrix& x, std::span<double> means,
                     std::span<double> stddevs) const;
 

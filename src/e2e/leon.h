@@ -23,7 +23,6 @@ class LeonOptimizer : public LearnedQueryOptimizer {
   LeonOptimizer(const E2eContext& context, LeonOptions options = LeonOptions());
 
   PhysicalPlan ChoosePlan(const Query& query) override;
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override;
   CandidateSet TrainingCandidateSet(const Query& query) override;
   void Observe(const Query& query, const PhysicalPlan& plan,
                double time_units) override;

@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "common/logging.h"
-
 namespace lqo {
 
 LeroOptimizer::LeroOptimizer(const E2eContext& context, LeroOptions options)
@@ -39,44 +37,20 @@ PhysicalPlan LeroOptimizer::ChoosePlan(const Query& query) {
   return std::move(set.plans[set.chosen]);
 }
 
-std::vector<PhysicalPlan> LeroOptimizer::TrainingCandidates(
-    const Query& query) {
-  return Candidates(query);
-}
-
 CandidateSet LeroOptimizer::TrainingCandidateSet(const Query& query) {
   CandidateSet set;
   set.plans = Candidates(query);
-  LQO_CHECK(!set.plans.empty());
-  // The whole candidate set is featurized in one pass — through the shared
-  // plan-signature feature cache when the context provides one (the rows
-  // also warm the cache for Observe) — then scored with a single batched
-  // comparator call.
-  set.features.Reset(PlanFeaturizer::kDim);
-  set.features.Reserve(set.plans.size());
-  for (const PhysicalPlan& plan : set.plans) {
-    FeaturizePlanCached(context_, query, plan, /*annotated=*/true,
-                        set.features.AppendRow());
-  }
-  if (!risk_model_.trained() || set.plans.size() == 1) {
-    set.chosen = 0;  // native fallback.
-    return set;
-  }
-  set.scores.resize(set.plans.size());
-  risk_model_.ScoreBatch(set.features, set.scores);
-  set.chosen = risk_model_.PickBestConservativeFromScores(set.scores, 0);
+  FeaturizeCandidates(context_, query, /*annotated=*/true, &set);
+  risk_model_.ChooseConservative(&set);  // plans[0] is the native plan.
   return set;
 }
 
 void LeroOptimizer::Observe(const Query& query, const PhysicalPlan& plan,
                             double time_units) {
-  PlanExperience experience;
-  experience.query_key = Subquery{&query, query.AllTables()}.Key();
-  experience.features =
-      FeaturizePlanCachedVec(context_, query, plan, /*annotated=*/true);
-  experience.time_units = time_units;
-  experience.plan_signature = plan.Signature();
-  experience_.Add(std::move(experience));
+  experience_.Add(MakePlanExperience(
+      query, plan,
+      FeaturizePlanCachedVec(context_, query, plan, /*annotated=*/true),
+      time_units));
 }
 
 void LeroOptimizer::Retrain() { risk_model_.Train(experience_); }

@@ -27,7 +27,6 @@ class LeroOptimizer : public LearnedQueryOptimizer {
   LeroOptimizer(const E2eContext& context, LeroOptions options = LeroOptions());
 
   PhysicalPlan ChoosePlan(const Query& query) override;
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override;
   CandidateSet TrainingCandidateSet(const Query& query) override;
   void Observe(const Query& query, const PhysicalPlan& plan,
                double time_units) override;

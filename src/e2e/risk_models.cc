@@ -26,13 +26,6 @@ void PointwiseRiskModel::Train(const ExperienceBuffer& buffer) {
   trained_ = true;
 }
 
-double PointwiseRiskModel::PredictTime(
-    const std::vector<double>& features) const {
-  LQO_CHECK(trained_);
-  double log_time = std::clamp(model_.Predict(features), 0.0, 50.0);
-  return std::exp(log_time) - 1.0;
-}
-
 void PointwiseRiskModel::PredictTimeBatch(const FeatureMatrix& x,
                                           std::span<double> out) const {
   LQO_CHECK(trained_);
@@ -42,22 +35,6 @@ void PointwiseRiskModel::PredictTimeBatch(const FeatureMatrix& x,
     double log_time = std::clamp(out[i], 0.0, 50.0);
     out[i] = std::exp(log_time) - 1.0;
   }
-}
-
-size_t PointwiseRiskModel::PickBest(
-    const std::vector<std::vector<double>>& candidates) const {
-  LQO_CHECK(!candidates.empty());
-  LQO_CHECK(trained_);
-  size_t best = 0;
-  double best_time = PredictTime(candidates[0]);
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    double t = PredictTime(candidates[i]);
-    if (t < best_time) {
-      best_time = t;
-      best = i;
-    }
-  }
-  return best;
 }
 
 size_t PointwiseRiskModel::PickBest(const FeatureMatrix& candidates) const {
@@ -111,11 +88,6 @@ void PairwiseRiskModel::Train(const ExperienceBuffer& buffer,
   trained_ = true;
 }
 
-double PairwiseRiskModel::Score(const std::vector<double>& features) const {
-  LQO_CHECK(trained_);
-  return scorer_.Predict(features);
-}
-
 void PairwiseRiskModel::ScoreBatch(const FeatureMatrix& x,
                                    std::span<double> out) const {
   LQO_CHECK(trained_);
@@ -143,14 +115,6 @@ size_t PairwiseRiskModel::PickBestFromScores(
   return best;
 }
 
-size_t PairwiseRiskModel::PickBest(const FeatureMatrix& candidates) const {
-  LQO_CHECK(!candidates.empty());
-  LQO_CHECK(trained_);
-  std::vector<double> scores(candidates.rows());
-  ScoreBatch(candidates, scores);
-  return PickBestFromScores(scores);
-}
-
 size_t PairwiseRiskModel::PickBestConservativeFromScores(
     std::span<const double> scores, size_t baseline, double confidence) const {
   LQO_CHECK_LT(baseline, scores.size());
@@ -162,53 +126,14 @@ size_t PairwiseRiskModel::PickBestConservativeFromScores(
              : baseline;
 }
 
-size_t PairwiseRiskModel::PickBestConservative(const FeatureMatrix& candidates,
-                                               size_t baseline,
-                                               double confidence) const {
-  LQO_CHECK_LT(baseline, candidates.rows());
-  LQO_CHECK(trained_);
-  std::vector<double> scores(candidates.rows());
-  ScoreBatch(candidates, scores);
-  return PickBestConservativeFromScores(scores, baseline, confidence);
-}
-
-size_t PairwiseRiskModel::PickBestConservative(
-    const std::vector<std::vector<double>>& candidates, size_t baseline,
-    double confidence) const {
-  LQO_CHECK_LT(baseline, candidates.size());
-  size_t best = PickBest(candidates);
-  if (best == baseline) return baseline;
-  return CompareProba(candidates[best], candidates[baseline]) >= confidence
-             ? best
-             : baseline;
-}
-
-double PairwiseRiskModel::CompareProba(const std::vector<double>& a,
-                                       const std::vector<double>& b) const {
-  // Lower relative-latency score means faster; scale sharpens the
-  // probability so clearly-separated scores saturate.
-  return Sigmoid(3.0 * (Score(b) - Score(a)));
-}
-
-size_t PairwiseRiskModel::PickBest(
-    const std::vector<std::vector<double>>& candidates) const {
-  LQO_CHECK(!candidates.empty());
-  LQO_CHECK(trained_);
-  std::vector<int> wins(candidates.size(), 0);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    for (size_t j = i + 1; j < candidates.size(); ++j) {
-      if (CompareProba(candidates[i], candidates[j]) >= 0.5) {
-        ++wins[i];
-      } else {
-        ++wins[j];
-      }
-    }
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (wins[i] > wins[best]) best = i;
-  }
-  return best;
+void PairwiseRiskModel::ChooseConservative(CandidateSet* set) const {
+  LQO_CHECK(!set->plans.empty());
+  LQO_CHECK_EQ(set->features.rows(), set->plans.size());
+  set->chosen = 0;
+  if (!trained_ || set->plans.size() == 1) return;
+  set->scores.resize(set->plans.size());
+  ScoreBatch(set->features, set->scores);
+  set->chosen = PickBestConservativeFromScores(set->scores, 0);
 }
 
 }  // namespace lqo

@@ -30,14 +30,11 @@ class ExperienceBuffer {
 class PointwiseRiskModel {
  public:
   void Train(const ExperienceBuffer& buffer);
-  double PredictTime(const std::vector<double>& features) const;
-  /// Batch PredictTime over all rows of `x`; one GBDT PredictBatch pass
-  /// followed by the scalar clamp/exp per row — bit-identical results.
+  /// Predicted time for all rows of `x`: one GBDT PredictBatch pass (bit
+  /// for bit the scalar Predict) followed by the clamp/exp per row.
   void PredictTimeBatch(const FeatureMatrix& x, std::span<double> out) const;
-  /// Index of the best candidate (min predicted time).
-  size_t PickBest(const std::vector<std::vector<double>>& candidates) const;
-  /// Matrix variant: one batched inference pass over the candidate set,
-  /// same argmin decision as the row-vector overload.
+  /// Index of the best candidate (min predicted time; the first on ties),
+  /// from one batched inference pass over the candidate set.
   size_t PickBest(const FeatureMatrix& candidates) const;
   /// Batched-inference counters of the underlying model.
   InferenceStatsSnapshot InferenceStats() const { return model_.Stats(); }
@@ -63,44 +60,27 @@ class PairwiseRiskModel {
   void Train(const ExperienceBuffer& buffer, double min_gap_ratio = 1.05,
              size_t min_pairs = 8);
 
-  /// P(candidate a is faster than b).
-  double CompareProba(const std::vector<double>& a,
-                      const std::vector<double>& b) const;
-
-  /// Index of the candidate winning the most pairwise comparisons.
-  size_t PickBest(const std::vector<std::vector<double>>& candidates) const;
-
-  /// Matrix variant: scores every candidate once with a single batched
-  /// inference pass (O(n) scorer rows instead of the O(n^2) per-comparison
-  /// Score calls of the row-vector overload), then replays the identical
-  /// sigmoid-over-score-difference tournament.
-  size_t PickBest(const FeatureMatrix& candidates) const;
-
-  /// Conservative variant: returns PickBest's winner only if the model is
-  /// at least `confidence` sure it beats candidates[baseline]; otherwise
-  /// returns `baseline` (Lero's keep-the-native-plan-unless-confident
-  /// behavior).
-  size_t PickBestConservative(
-      const std::vector<std::vector<double>>& candidates, size_t baseline,
-      double confidence = 0.6) const;
-
-  /// Matrix variant of PickBestConservative over a batched score pass.
-  size_t PickBestConservative(const FeatureMatrix& candidates,
-                              size_t baseline, double confidence = 0.6) const;
-
-  /// Relative-latency scores for all rows of `x` (lower is better).
+  /// Relative-latency scores (log time over group minimum) for all rows of
+  /// `x`, one batched scorer pass; lower is better.
   void ScoreBatch(const FeatureMatrix& x, std::span<double> out) const;
 
-  /// Tournament winner given precomputed per-candidate scores (one
-  /// ScoreBatch row each). Callers that already hold the batch's scores
-  /// (TrainingCandidateSet) replay the PickBest decision from them without
-  /// a second inference pass.
+  /// Index of the candidate winning the most pairwise comparisons, given
+  /// one ScoreBatch row per candidate. Candidate i beats j when
+  /// P(i faster than j) = sigmoid(3 * (scores[j] - scores[i])) >= 0.5.
   size_t PickBestFromScores(std::span<const double> scores) const;
 
-  /// As PickBestConservative, from precomputed scores.
+  /// Conservative variant: returns PickBestFromScores's winner only if the
+  /// model is at least `confidence` sure it beats candidate `baseline`;
+  /// otherwise returns `baseline` (Lero's keep-the-native-plan-unless-
+  /// confident behavior).
   size_t PickBestConservativeFromScores(std::span<const double> scores,
                                         size_t baseline,
                                         double confidence = 0.6) const;
+
+  /// Sets `set->chosen` to the conservative winner over plans[0] from one
+  /// ScoreBatch pass over `set->features` (scores kept in `set->scores`);
+  /// leaves plans[0] chosen while untrained or with a single plan.
+  void ChooseConservative(CandidateSet* set) const;
 
   /// Batched-inference counters of the underlying scorer.
   InferenceStatsSnapshot InferenceStats() const { return scorer_.Stats(); }
@@ -108,9 +88,6 @@ class PairwiseRiskModel {
   bool trained() const { return trained_; }
 
  private:
-  /// Relative-latency score (log time over group minimum); lower is better.
-  double Score(const std::vector<double>& features) const;
-
   uint64_t seed_;
   GradientBoostedTrees scorer_;
   bool trained_ = false;

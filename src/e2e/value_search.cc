@@ -75,8 +75,7 @@ PhysicalPlan ValueSearch::Search(const Query& query,
 
   // Values a batch of candidate states with one batched value-model pass:
   // the states featurize into one feature matrix, then a single
-  // PredictTimeBatch scores every row — bit-identical to per-state
-  // PredictTime.
+  // PredictTimeBatch scores every row.
   auto value_batch = [&](std::vector<PhysicalPlan> plans) {
     FeatureMatrix state_features(kStateDim);
     std::vector<double> state_values;
@@ -176,7 +175,6 @@ PhysicalPlan ValueSearch::Search(const Query& query,
 
 std::vector<PlanExperience> ValueSearch::SubplanExperiences(
     const Query& query, const PhysicalPlan& plan, double time_units) const {
-  std::string query_key = Subquery{&query, query.AllTables()}.Key();
   // Every sub-plan, bottom-up, annotated against one shared provider.
   CardinalityProvider cards(context_.estimator);
   std::vector<PlanExperience> experiences;
@@ -186,12 +184,8 @@ std::vector<PlanExperience> ValueSearch::SubplanExperiences(
     partial.query = &query;
     partial.root = node.Clone();
     AnnotateWithProvider(context_, &partial, &cards);
-    PlanExperience experience;
-    experience.query_key = query_key;
-    experience.features = StateFeatures(query, partial);
-    experience.time_units = time_units;
-    experience.plan_signature = partial.Signature();
-    experiences.push_back(std::move(experience));
+    experiences.push_back(MakePlanExperience(
+        query, partial, StateFeatures(query, partial), time_units));
   });
   return experiences;
 }

@@ -202,61 +202,6 @@ void Mlp::Fit(const std::vector<std::vector<double>>& rows,
   fitted_ = true;
 }
 
-void Mlp::FitPairwise(const std::vector<std::vector<double>>& first,
-                      const std::vector<std::vector<double>>& second,
-                      const std::vector<double>& labels) {
-  LQO_CHECK(!first.empty());
-  LQO_CHECK_EQ(first.size(), second.size());
-  LQO_CHECK_EQ(first.size(), labels.size());
-  // Standardize over the union of both sides.
-  std::vector<std::vector<double>> all = first;
-  all.insert(all.end(), second.begin(), second.end());
-  input_standardizer_.Fit(all);
-  std::vector<std::vector<double>> xa, xb;
-  xa.reserve(first.size());
-  xb.reserve(second.size());
-  for (const auto& r : first) xa.push_back(input_standardizer_.Transform(r));
-  for (const auto& r : second) xb.push_back(input_standardizer_.Transform(r));
-  target_mean_ = 0.0;
-  target_std_ = 1.0;
-
-  InitNetwork(xa[0].size());
-  Rng rng(options_.seed + 1);
-  std::vector<size_t> order(xa.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  std::vector<Layer> grads = layers_;
-  auto zero_grads = [&]() {
-    for (Layer& g : grads) {
-      std::fill(g.w.begin(), g.w.end(), 0.0);
-      std::fill(g.b.begin(), g.b.end(), 0.0);
-    }
-  };
-
-  std::vector<std::vector<double>> zs_a, as_a, zs_b, as_b;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (size_t start = 0; start < order.size();
-         start += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            start + static_cast<size_t>(options_.batch_size));
-      zero_grads();
-      for (size_t i = start; i < end; ++i) {
-        size_t pair = order[i];
-        double sa = Forward(xa[pair], &zs_a, &as_a);
-        double sb = Forward(xb[pair], &zs_b, &as_b);
-        // RankNet: P(a wins) = sigmoid(sa - sb); dL/dsa = p - y; dL/dsb = -(p - y).
-        double p = Sigmoid(sa - sb);
-        double g = p - labels[pair];
-        Backward(g, zs_a, as_a, &grads);
-        Backward(-g, zs_b, as_b, &grads);
-      }
-      AdamStep(grads, 1.0 / static_cast<double>(end - start));
-    }
-  }
-  fitted_ = true;
-}
-
 void Mlp::ForwardBlock(const FeatureMatrix& x, size_t begin, size_t end,
                        double* out) const {
   size_t n = end - begin;
@@ -348,11 +293,6 @@ double Mlp::Predict(const std::vector<double>& row) const {
 
 double Mlp::PredictProba(const std::vector<double>& row) const {
   return Sigmoid(Predict(row));
-}
-
-double Mlp::CompareProba(const std::vector<double>& a,
-                         const std::vector<double>& b) const {
-  return Sigmoid(Predict(a) - Predict(b));
 }
 
 }  // namespace lqo

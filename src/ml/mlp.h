@@ -26,8 +26,9 @@ struct MlpOptions {
 
 /// A fully connected ReLU network with a scalar linear output, trained with
 /// Adam. Stands in for the DNN components of MSCN [23], Neo's and Bao's
-/// tree-convolution value networks [37,38] and Lero's comparator [79] (via
-/// FitPairwise, a RankNet-style shared-scorer pairwise loss).
+/// tree-convolution value networks [37,38] and HyperQO's multi-head latency
+/// model [72]. (Lero's pairwise comparator is PairwiseRiskModel's GBDT
+/// scorer in src/e2e.)
 class Mlp {
  public:
   explicit Mlp(MlpOptions options = MlpOptions()) : options_(options) {}
@@ -37,23 +38,11 @@ class Mlp {
   void Fit(const std::vector<std::vector<double>>& rows,
            const std::vector<double>& targets);
 
-  /// Pairwise ranking fit: `labels[i]` is 1 if `first[i]` should score
-  /// higher than `second[i]`, else 0. P(first wins) =
-  /// sigmoid(s(first) - s(second)) with a shared scorer s.
-  void FitPairwise(const std::vector<std::vector<double>>& first,
-                   const std::vector<std::vector<double>>& second,
-                   const std::vector<double>& labels);
-
-  /// Regression value / raw score (logit for kLogistic; ranking score after
-  /// FitPairwise).
+  /// Regression value (logit for kLogistic).
   double Predict(const std::vector<double>& row) const;
 
   /// sigmoid(Predict) — probability for kLogistic models.
   double PredictProba(const std::vector<double>& row) const;
-
-  /// P(a scores higher than b) under the pairwise model.
-  double CompareProba(const std::vector<double>& a,
-                      const std::vector<double>& b) const;
 
   /// Batch prediction over all rows of `x`, bit-for-bit identical to
   /// per-row Predict. Morsel-parallel; each morsel runs a blocked

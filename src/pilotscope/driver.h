@@ -27,12 +27,8 @@ class Driver {
   /// The plan this driver's Algo would execute for `query`, without
   /// executing it and without collecting experience — the planning half of
   /// Algo, split out so the serving front end can cache it per query type
-  /// (src/serving). Drivers whose algorithm has no standalone planning step
-  /// keep the default.
-  virtual StatusOr<PhysicalPlan> PlanQuery(const Query& query) {
-    (void)query;
-    return Status::Unimplemented(Name() + " has no standalone planning step");
-  }
+  /// (src/serving).
+  virtual StatusOr<PhysicalPlan> PlanQuery(const Query& query) = 0;
 
   /// Optional background training over a collected workload (the paper's
   /// "collect the pre-defined training data ... then train each model").

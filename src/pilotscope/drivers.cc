@@ -6,31 +6,25 @@
 #include "costmodel/plan_featurizer.h"
 
 namespace lqo {
-namespace {
 
-PlanExperience MakeExperience(const Query& query, const PhysicalPlan& plan,
-                              double time_units) {
-  PlanExperience experience;
-  experience.query_key = Subquery{&query, query.AllTables()}.Key();
-  experience.features = PlanFeaturizer::Featurize(plan);
-  experience.time_units = time_units;
-  experience.plan_signature = plan.Signature();
-  return experience;
-}
-
-}  // namespace
-
-CardinalityDriver::CardinalityDriver(CardinalityEstimatorInterface* estimator)
-    : estimator_(estimator) {
-  LQO_CHECK(estimator_ != nullptr);
-}
-
-Status CardinalityDriver::Init(DbInteractor* interactor) {
+Status InteractorDriver::Init(DbInteractor* interactor) {
   if (interactor == nullptr) {
     return Status::InvalidArgument("null interactor");
   }
   interactor_ = interactor;
   return Status::Ok();
+}
+
+Status InteractorDriver::CheckInitialized() const {
+  if (interactor_ == nullptr) {
+    return Status::FailedPrecondition("driver not initialized");
+  }
+  return Status::Ok();
+}
+
+CardinalityDriver::CardinalityDriver(CardinalityEstimatorInterface* estimator)
+    : estimator_(estimator) {
+  LQO_CHECK(estimator_ != nullptr);
 }
 
 StatusOr<ExecutionResult> CardinalityDriver::Algo(const Query& query) {
@@ -40,9 +34,12 @@ StatusOr<ExecutionResult> CardinalityDriver::Algo(const Query& query) {
 }
 
 StatusOr<PhysicalPlan> CardinalityDriver::PlanQuery(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
+  LQO_RETURN_IF_ERROR(CheckInitialized());
+  return ClearPushesOnError(PlanWithEstimates(query));
+}
+
+StatusOr<PhysicalPlan> CardinalityDriver::PlanWithEstimates(
+    const Query& query) {
   // Batch-inject the learned estimates for all optimizer sub-queries, from
   // one estimator batch (a learned estimator runs one model pass).
   auto subqueries = interactor_->PullSubqueries(query);
@@ -64,15 +61,55 @@ std::string CardinalityDriver::Name() const {
   return "ce_driver(" + estimator_->Name() + ")";
 }
 
-BaoDriver::BaoDriver(int retrain_every) : retrain_every_(retrain_every) {}
+StatusOr<std::vector<PhysicalPlan>> CandidateDriver::CollectCandidates(
+    const Query& query) {
+  LQO_RETURN_IF_ERROR(CheckInitialized());
+  return ClearPushesOnError(Candidates(query));
+}
 
-Status BaoDriver::Init(DbInteractor* interactor) {
-  if (interactor == nullptr) {
-    return Status::InvalidArgument("null interactor");
+StatusOr<PhysicalPlan> CandidateDriver::PlanQuery(const Query& query) {
+  auto candidates = CollectCandidates(query);
+  if (!candidates.ok()) return candidates.status();
+  size_t chosen = 0;
+  if (trained() && candidates->size() > 1) {
+    FeatureMatrix features(PlanFeaturizer::kDim);
+    features.Reserve(candidates->size());
+    for (const PhysicalPlan& plan : *candidates) {
+      PlanFeaturizer::FeaturizeInto(plan, features.AppendRow());
+    }
+    chosen = Pick(features);
   }
-  interactor_ = interactor;
+  return std::move((*candidates)[chosen]);
+}
+
+StatusOr<ExecutionResult> CandidateDriver::Algo(const Query& query) {
+  auto plan = PlanQuery(query);
+  if (!plan.ok()) return plan.status();
+  auto result = interactor_->PullExecution(*plan);
+  if (!result.ok()) return result.status();
+  experience_.Add(MakePlanExperience(
+      query, *plan, PlanFeaturizer::Featurize(*plan), result->time_units));
+  OnExecuted();
+  return result;
+}
+
+Status CandidateDriver::TrainOnWorkload(const Workload& workload) {
+  LQO_RETURN_IF_ERROR(CheckInitialized());
+  for (const Query& query : workload.queries) {
+    auto candidates = CollectCandidates(query);
+    if (!candidates.ok()) return candidates.status();
+    for (const PhysicalPlan& plan : *candidates) {
+      auto result = interactor_->PullExecution(plan);
+      if (!result.ok()) return result.status();
+      experience_.Add(MakePlanExperience(
+          query, plan, PlanFeaturizer::Featurize(plan), result->time_units));
+    }
+  }
+  Fit();
   return Status::Ok();
 }
+
+BaoDriver::BaoDriver(int retrain_every) : retrain_every_(retrain_every) {}
 
 StatusOr<std::vector<PhysicalPlan>> BaoDriver::Candidates(const Query& query) {
   std::vector<PhysicalPlan> candidates;
@@ -93,78 +130,15 @@ StatusOr<std::vector<PhysicalPlan>> BaoDriver::Candidates(const Query& query) {
   return candidates;
 }
 
-StatusOr<ExecutionResult> BaoDriver::Algo(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  auto candidates = Candidates(query);
-  if (!candidates.ok()) return candidates.status();
-  size_t chosen = 0;
-  if (risk_model_.trained() && candidates->size() > 1) {
-    std::vector<std::vector<double>> features;
-    for (const PhysicalPlan& plan : *candidates) {
-      features.push_back(PlanFeaturizer::Featurize(plan));
-    }
-    chosen = risk_model_.PickBest(features);
-  }
-  auto result = interactor_->PullExecution((*candidates)[chosen]);
-  if (!result.ok()) return result.status();
-  experience_.Add(
-      MakeExperience(query, (*candidates)[chosen], result->time_units));
+void BaoDriver::OnExecuted() {
   if (++since_retrain_ >= retrain_every_) {
-    risk_model_.Train(experience_);
+    Fit();
     since_retrain_ = 0;
   }
-  return result;
-}
-
-StatusOr<PhysicalPlan> BaoDriver::PlanQuery(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  // The planning half of Algo: collect hint-set candidates and score them,
-  // but neither execute nor learn — serving feedback goes to the plan
-  // cache's drift detector, not the risk model.
-  auto candidates = Candidates(query);
-  if (!candidates.ok()) return candidates.status();
-  size_t chosen = 0;
-  if (risk_model_.trained() && candidates->size() > 1) {
-    std::vector<std::vector<double>> features;
-    for (const PhysicalPlan& plan : *candidates) {
-      features.push_back(PlanFeaturizer::Featurize(plan));
-    }
-    chosen = risk_model_.PickBest(features);
-  }
-  return std::move((*candidates)[chosen]);
-}
-
-Status BaoDriver::TrainOnWorkload(const Workload& workload) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  for (const Query& query : workload.queries) {
-    auto candidates = Candidates(query);
-    if (!candidates.ok()) return candidates.status();
-    for (const PhysicalPlan& plan : *candidates) {
-      auto result = interactor_->PullExecution(plan);
-      if (!result.ok()) return result.status();
-      experience_.Add(MakeExperience(query, plan, result->time_units));
-    }
-  }
-  risk_model_.Train(experience_);
-  return Status::Ok();
 }
 
 LeroDriver::LeroDriver(std::vector<double> scale_factors)
     : scale_factors_(std::move(scale_factors)) {}
-
-Status LeroDriver::Init(DbInteractor* interactor) {
-  if (interactor == nullptr) {
-    return Status::InvalidArgument("null interactor");
-  }
-  interactor_ = interactor;
-  return Status::Ok();
-}
 
 StatusOr<std::vector<PhysicalPlan>> LeroDriver::Candidates(
     const Query& query) {
@@ -188,59 +162,10 @@ StatusOr<std::vector<PhysicalPlan>> LeroDriver::Candidates(
   return candidates;
 }
 
-StatusOr<ExecutionResult> LeroDriver::Algo(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  auto candidates = Candidates(query);
-  if (!candidates.ok()) return candidates.status();
-  size_t chosen = 0;
-  if (risk_model_.trained() && candidates->size() > 1) {
-    std::vector<std::vector<double>> features;
-    for (const PhysicalPlan& plan : *candidates) {
-      features.push_back(PlanFeaturizer::Featurize(plan));
-    }
-    chosen = risk_model_.PickBest(features);
-  }
-  auto result = interactor_->PullExecution((*candidates)[chosen]);
-  if (!result.ok()) return result.status();
-  experience_.Add(
-      MakeExperience(query, (*candidates)[chosen], result->time_units));
-  return result;
-}
-
-StatusOr<PhysicalPlan> LeroDriver::PlanQuery(const Query& query) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  auto candidates = Candidates(query);
-  if (!candidates.ok()) return candidates.status();
-  size_t chosen = 0;
-  if (risk_model_.trained() && candidates->size() > 1) {
-    std::vector<std::vector<double>> features;
-    for (const PhysicalPlan& plan : *candidates) {
-      features.push_back(PlanFeaturizer::Featurize(plan));
-    }
-    chosen = risk_model_.PickBest(features);
-  }
-  return std::move((*candidates)[chosen]);
-}
-
-Status LeroDriver::TrainOnWorkload(const Workload& workload) {
-  if (interactor_ == nullptr) {
-    return Status::FailedPrecondition("driver not initialized");
-  }
-  for (const Query& query : workload.queries) {
-    auto candidates = Candidates(query);
-    if (!candidates.ok()) return candidates.status();
-    for (const PhysicalPlan& plan : *candidates) {
-      auto result = interactor_->PullExecution(plan);
-      if (!result.ok()) return result.status();
-      experience_.Add(MakeExperience(query, plan, result->time_units));
-    }
-  }
-  risk_model_.Train(experience_);
-  return Status::Ok();
+size_t LeroDriver::Pick(const FeatureMatrix& features) const {
+  std::vector<double> scores(features.rows());
+  risk_model_.ScoreBatch(features, scores);
+  return risk_model_.PickBestFromScores(scores);
 }
 
 DriverPlanProducer::DriverPlanProducer(Driver* driver) : driver_(driver) {

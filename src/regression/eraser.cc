@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "costmodel/plan_featurizer.h"
 
 namespace lqo {
 
@@ -53,29 +52,18 @@ PhysicalPlan EraserGuard::ChoosePlan(const Query& query) {
   return learned;
 }
 
-std::vector<PhysicalPlan> EraserGuard::TrainingCandidates(const Query& query) {
-  std::vector<PhysicalPlan> candidates;
-  PhysicalPlan learned = inner_->ChoosePlan(query);
-  PhysicalPlan native = NativePlan(context_, query);
-  bool same = learned.Signature() == native.Signature();
-  candidates.push_back(std::move(learned));
-  if (!same) candidates.push_back(std::move(native));
-  return candidates;
-}
-
 CandidateSet EraserGuard::TrainingCandidateSet(const Query& query) {
   CandidateSet set;
-  set.plans = TrainingCandidates(query);
-  // The guard itself does not score candidates (the inner optimizer already
-  // picked plans[0]); featurizing the pair here still pays off by warming
-  // the shared plan-signature cache so Observe's per-plan clone+annotate
-  // walk becomes a cache hit.
-  set.features.Reset(PlanFeaturizer::kDim);
-  set.features.Reserve(set.plans.size());
-  for (const PhysicalPlan& plan : set.plans) {
-    FeaturizePlanCached(context_, query, plan, /*annotated=*/false,
-                        set.features.AppendRow());
+  set.plans.push_back(inner_->ChoosePlan(query));
+  PhysicalPlan native = NativePlan(context_, query);
+  if (native.Signature() != set.plans[0].Signature()) {
+    set.plans.push_back(std::move(native));
   }
+  // The guard itself does not score candidates (the inner optimizer already
+  // picked plans[0]); featurizing the pair still pays off by warming the
+  // shared plan-signature cache, so Observe's per-plan clone+annotate walk
+  // becomes a cache hit.
+  FeaturizeCandidates(context_, query, /*annotated=*/false, &set);
   return set;
 }
 

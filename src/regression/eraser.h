@@ -29,15 +29,14 @@ struct EraserOptions {
 ///  2) a fine-grained plan clustering falls back to the native plan in
 ///     regions where the learned optimizer's past choices under-performed
 ///     the native optimizer.
-/// Training observations must include native executions (TrainingCandidates
-/// returns the learned choice plus the native plan).
+/// Training observations must include native executions
+/// (TrainingCandidateSet returns the learned choice plus the native plan).
 class EraserGuard : public LearnedQueryOptimizer {
  public:
   EraserGuard(const E2eContext& context, LearnedQueryOptimizer* inner,
               EraserOptions options = EraserOptions());
 
   PhysicalPlan ChoosePlan(const Query& query) override;
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override;
   CandidateSet TrainingCandidateSet(const Query& query) override;
   void Observe(const Query& query, const PhysicalPlan& plan,
                double time_units) override;

@@ -1,5 +1,8 @@
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,9 @@
 #include "e2e/neo.h"
 #include "e2e/risk_models.h"
 #include "e2e/value_search.h"
+#include "pilotscope/drivers.h"
+#include "pilotscope/interactor.h"
+#include "regression/eraser.h"
 
 namespace lqo {
 namespace {
@@ -49,8 +55,12 @@ TEST_F(E2eTest, RiskModelPointwisePicksFaster) {
   PointwiseRiskModel model;
   model.Train(buffer);
   ASSERT_TRUE(model.trained());
-  EXPECT_EQ(model.PickBest({{6.0, 1.0}, {0.0, 1.0}, {3.0, 1.0}}), 1u);
-  EXPECT_LT(model.PredictTime({0.0, 1.0}), model.PredictTime({6.0, 1.0}));
+  FeatureMatrix candidates(2);
+  for (double x : {6.0, 0.0, 3.0}) candidates.AddRow({x, 1.0});
+  EXPECT_EQ(model.PickBest(candidates), 1u);
+  std::vector<double> times(candidates.rows());
+  model.PredictTimeBatch(candidates, times);
+  EXPECT_LT(times[1], times[0]);
 }
 
 TEST_F(E2eTest, RiskModelPairwisePicksWinner) {
@@ -68,12 +78,14 @@ TEST_F(E2eTest, RiskModelPairwisePicksWinner) {
   PairwiseRiskModel model;
   model.Train(buffer);
   ASSERT_TRUE(model.trained());
-  EXPECT_EQ(model.PickBest({{2.0, 1.0}, {0.0, 1.0}, {1.0, 1.0}}), 1u);
-  // Antisymmetry of the comparator.
-  double p_ab = model.CompareProba({0.0, 1.0}, {2.0, 1.0});
-  double p_ba = model.CompareProba({2.0, 1.0}, {0.0, 1.0});
-  EXPECT_NEAR(p_ab + p_ba, 1.0, 1e-9);
-  EXPECT_GT(p_ab, 0.5);
+  FeatureMatrix candidates(2);
+  for (double x : {2.0, 0.0, 1.0}) candidates.AddRow({x, 1.0});
+  std::vector<double> scores(candidates.rows());
+  model.ScoreBatch(candidates, scores);
+  EXPECT_EQ(model.PickBestFromScores(scores), 1u);
+  // The fastest plan scores lowest, so it beats the baseline confidently.
+  EXPECT_LT(scores[1], scores[0]);
+  EXPECT_EQ(model.PickBestConservativeFromScores(scores, 0), 1u);
 }
 
 TEST_F(E2eTest, BaoArmsCoverHintSpaceAndChoosesNativeUntrained) {
@@ -89,13 +101,10 @@ TEST_F(E2eTest, BaoArmsCoverHintSpaceAndChoosesNativeUntrained) {
   EXPECT_EQ(plan.Signature(), native.Signature());
 }
 
-TEST_F(E2eTest, BaoLearnsAndDiscoverUsefulArmsShrinks) {
+TEST_F(E2eTest, BaoLearnsAndPlansUnseenQueries) {
   BaoOptimizer bao(lab_->Context());
   TrainLearnedOptimizer(&bao, train_, *lab_->executor);
   EXPECT_TRUE(bao.trained());
-  auto useful = bao.DiscoverUsefulArms();
-  EXPECT_GE(useful.size(), 1u);
-  EXPECT_LE(useful.size(), 7u);
   // Trained Bao never crashes on unseen queries and returns full plans.
   for (const Query& q : test_.queries) {
     PhysicalPlan plan = bao.ChoosePlan(q);
@@ -172,12 +181,14 @@ TEST_F(E2eTest, HyperQoFiltersAndFallsBack) {
 
   TrainLearnedOptimizer(&hyperqo, train_, *lab_->executor);
   ASSERT_TRUE(hyperqo.trained());
-  double mean, stddev;
   PhysicalPlan plan = hyperqo.ChoosePlan(q);
   AnnotateWithBaseline(lab_->Context(), &plan);
-  hyperqo.Predict(PlanFeaturizer::Featurize(plan), &mean, &stddev);
-  EXPECT_GE(stddev, 0.0);
-  EXPECT_GT(mean, 0.0);
+  FeatureMatrix features(PlanFeaturizer::kDim);
+  features.AddRow(PlanFeaturizer::Featurize(plan));
+  std::vector<double> mean(1), stddev(1);
+  hyperqo.PredictBatch(features, mean, stddev);
+  EXPECT_GE(stddev[0], 0.0);
+  EXPECT_GT(mean[0], 0.0);
 }
 
 TEST_F(E2eTest, LeonUsesDpCandidates) {
@@ -229,6 +240,97 @@ TEST_F(E2eTest, TrainingImprovesOrMatchesNativeInAggregate) {
                                                     train_, *lab_->executor);
   EXPECT_LE(on_train.total_learned, on_train.total_native * 1.1)
       << "speedup=" << on_train.Speedup();
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden learned plan choices: every candidate-selection path, trained on one
+// fixed stats_lite workload, folded into one fingerprint.
+
+uint64_t Fold(uint64_t hash, uint64_t value) {
+  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
+  return hash;
+}
+
+// FNV-1a 64 of `text`, folded into `hash`.
+uint64_t FoldText(uint64_t hash, const std::string& text) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return Fold(hash, h);
+}
+
+TEST(GoldenChoiceTest, LearnedPlanChoicesMatchTheirFingerprint) {
+  auto lab = MakeLab("stats_lite", 0.05);
+  WorkloadOptions options;
+  options.num_queries = 30;
+  options.min_tables = 2;
+  options.max_tables = 4;
+  options.seed = 63;
+  Workload train = GenerateWorkload(lab->catalog, options);
+  options.num_queries = 12;
+  options.seed = 64;
+  Workload test = GenerateWorkload(lab->catalog, options);
+
+  // The e2e optimizers: each trains through the harness, then folds every
+  // test query's candidate set, its pick and its ChoosePlan.
+  uint64_t hash = 0;
+  auto fold_optimizer = [&](LearnedQueryOptimizer* optimizer) {
+    TrainLearnedOptimizer(optimizer, train, *lab->executor);
+    EXPECT_TRUE(optimizer->trained()) << optimizer->Name();
+    for (const Query& query : test.queries) {
+      CandidateSet set = optimizer->TrainingCandidateSet(query);
+      for (const PhysicalPlan& plan : set.plans) {
+        hash = FoldText(hash, plan.Signature());
+      }
+      hash = Fold(hash, set.chosen);
+      hash = FoldText(hash, optimizer->ChoosePlan(query).Signature());
+    }
+  };
+  LeroOptimizer lero(lab->Context());
+  fold_optimizer(&lero);
+  LeonOptimizer leon(lab->Context());
+  fold_optimizer(&leon);
+  HyperQoOptimizer hyperqo(lab->Context());
+  fold_optimizer(&hyperqo);
+  BaoOptions greedy;
+  greedy.initial_epsilon = 0.0;
+  BaoOptimizer bao(lab->Context(), greedy);
+  fold_optimizer(&bao);
+  BaoOptimizer guarded_bao(lab->Context(), greedy);
+  EraserGuard eraser(lab->Context(), &guarded_bao);
+  fold_optimizer(&eraser);
+
+  // The PilotScope candidate drivers: background training, then each test
+  // query planned alone and run through Algo (Bao retrains every 5 runs).
+  EngineInteractor interactor(&lab->catalog, lab->optimizer.get(),
+                              lab->estimator.get(), lab->executor.get());
+  BaoDriver bao_driver(/*retrain_every=*/5);
+  LeroDriver lero_driver;
+  for (Driver* driver : std::initializer_list<Driver*>{&bao_driver,
+                                                       &lero_driver}) {
+    ASSERT_TRUE(driver->Init(&interactor).ok());
+    ASSERT_TRUE(driver->TrainOnWorkload(train).ok()) << driver->Name();
+    for (const Query& query : test.queries) {
+      auto plan = driver->PlanQuery(query);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      hash = FoldText(hash, plan->Signature());
+      auto result = driver->Algo(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      hash = Fold(hash, std::bit_cast<uint64_t>(result->time_units));
+      hash = Fold(hash, result->row_count);
+    }
+  }
+  EXPECT_TRUE(bao_driver.trained());
+  EXPECT_TRUE(lero_driver.trained());
+  // The drivers' push/pull traffic is part of their observable behaviour.
+  hash = Fold(hash, static_cast<uint64_t>(interactor.op_counts().pushes));
+  hash = Fold(hash, static_cast<uint64_t>(interactor.op_counts().pulls));
+  // Read before the candidate paths were merged into one; any change to a
+  // candidate, a pick or a driver's push/pull traffic moves it.
+  EXPECT_EQ(hash, 0x71f958757213c592ull);
 }
 
 }  // namespace

@@ -193,37 +193,6 @@ TEST(MlpTest, LearnsLogisticClassification) {
   EXPECT_GT(correct, 360);  // > 90% train accuracy.
 }
 
-TEST(MlpTest, PairwiseRankingIsAntisymmetricAndAccurate) {
-  // Items have a latent quality = 2*x0 - x1; pairs labeled by quality.
-  Rng rng(11);
-  std::vector<std::vector<double>> first, second;
-  std::vector<double> labels;
-  auto quality = [](const std::vector<double>& x) {
-    return 2 * x[0] - x[1];
-  };
-  for (int i = 0; i < 600; ++i) {
-    std::vector<double> a = {rng.UniformDouble(-1, 1), rng.UniformDouble(-1, 1)};
-    std::vector<double> b = {rng.UniformDouble(-1, 1), rng.UniformDouble(-1, 1)};
-    first.push_back(a);
-    second.push_back(b);
-    labels.push_back(quality(a) > quality(b) ? 1.0 : 0.0);
-  }
-  MlpOptions options;
-  options.hidden_layers = {16};
-  options.epochs = 120;
-  Mlp mlp(options);
-  mlp.FitPairwise(first, second, labels);
-
-  int correct = 0;
-  for (size_t i = 0; i < first.size(); ++i) {
-    double p = mlp.CompareProba(first[i], second[i]);
-    if ((p > 0.5) == (labels[i] > 0.5)) ++correct;
-    // Antisymmetry: P(a>b) + P(b>a) == 1 by construction.
-    EXPECT_NEAR(p + mlp.CompareProba(second[i], first[i]), 1.0, 1e-9);
-  }
-  EXPECT_GT(correct, 540);  // > 90%
-}
-
 TEST(KMeansTest, SeparatesObviousClusters) {
   Rng rng(12);
   std::vector<std::vector<double>> rows;

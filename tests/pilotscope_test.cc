@@ -199,6 +199,57 @@ TEST_F(PilotScopeTest, LeroDriverTrainsAndServes) {
   EXPECT_EQ(result->row_count, lab_->truth->Cardinality(workload_.queries[1]));
 }
 
+// Answers the same cardinality for every sub-query, so its pushed overrides
+// show in any plan they leak into.
+class ConstantEstimator : public CardinalityEstimatorInterface {
+ public:
+  double EstimateSubquery(const Subquery& subquery) override {
+    (void)subquery;
+    return 7.0;
+  }
+  std::string Name() const override { return "constant"; }
+};
+
+TEST_F(PilotScopeTest, FailedDriverCallLeavesNoPushes) {
+  const Query& q = workload_.queries[0];
+  auto clean = interactor_->PullPlan(q);
+  ASSERT_TRUE(clean.ok());
+  // The same query plus a table it never joins: the console accepts it, its
+  // connected subsets include all of q's, and every PullPlan on it fails.
+  Query disconnected = q;
+  disconnected.AddTable("users", "unjoined");
+  auto expect_clean = [&](const std::string& after) {
+    auto plan = interactor_->PullPlan(q);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->Signature(), clean->Signature()) << after;
+    EXPECT_EQ(plan->root->estimated_cardinality,
+              clean->root->estimated_cardinality)
+        << after;
+  };
+
+  ConstantEstimator constant;
+  PilotScopeConsole console(&lab_->catalog, interactor_.get());
+  ASSERT_TRUE(console
+                  .RegisterDriver(
+                      std::make_unique<CardinalityDriver>(&constant))
+                  .ok());
+  ASSERT_TRUE(console.ActivateDriver("ce_driver(constant)").ok());
+  EXPECT_FALSE(console.ExecuteQuery(disconnected).ok());
+  expect_clean("console ExecuteQuery");
+
+  CardinalityDriver ce_driver(&constant);
+  BaoDriver bao_driver;
+  LeroDriver lero_driver;
+  for (Driver* driver : std::initializer_list<Driver*>{
+           &ce_driver, &bao_driver, &lero_driver}) {
+    ASSERT_TRUE(driver->Init(interactor_.get()).ok());
+    EXPECT_FALSE(driver->PlanQuery(disconnected).ok());
+    expect_clean(driver->Name() + " PlanQuery");
+    EXPECT_FALSE(driver->Algo(disconnected).ok());
+    expect_clean(driver->Name() + " Algo");
+  }
+}
+
 TEST_F(PilotScopeTest, DriverTransparencyPreservesAllResults) {
   // Whatever driver runs, the user sees correct COUNT(*) values.
   PilotScopeConsole console(&lab_->catalog, interactor_.get());

@@ -69,7 +69,7 @@ TEST_F(EraserTest, TrainingCandidatesIncludeNative) {
   AdversarialOptimizer inner(lab_->Context());
   EraserGuard guard(lab_->Context(), &inner);
   const Query& q = test_.queries[0];
-  auto candidates = guard.TrainingCandidates(q);
+  std::vector<PhysicalPlan> candidates = guard.TrainingCandidateSet(q).plans;
   ASSERT_GE(candidates.size(), 1u);
   bool has_native = false;
   std::string native_signature = NativePlan(lab_->Context(), q).Signature();

@@ -262,19 +262,19 @@ class HintProbeOptimizer : public LearnedQueryOptimizer {
     return NativePlan(context_, query);
   }
 
-  std::vector<PhysicalPlan> TrainingCandidates(const Query& query) override {
-    std::vector<PhysicalPlan> plans;
-    plans.push_back(ChoosePlan(query));
+  CandidateSet TrainingCandidateSet(const Query& query) override {
+    CandidateSet set;
+    set.plans.push_back(ChoosePlan(query));
     for (bool hash_only : {true, false}) {
       HintSet hints;
       hints.enable_hash_join = hash_only;
       hints.enable_merge_join = !hash_only;
       hints.enable_nested_loop = false;
       CardinalityProvider cards(context_.estimator);
-      plans.push_back(
+      set.plans.push_back(
           context_.optimizer->Optimize(query, &cards, hints).plan);
     }
-    return plans;
+    return set;
   }
 
   void Observe(const Query& query, const PhysicalPlan& plan,
